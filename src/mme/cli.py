@@ -112,10 +112,21 @@ def _apply_config(args, parser_defaults: dict, casts: dict):
             raise CliError(f"config key {key}={raw!r}: {exc}") from exc
 
 
+def _checked(build, *args, **kwargs):
+    """Call a config constructor or object lookup on user-supplied values;
+    a rejected value (ValueError, or KeyError for an unknown name) becomes
+    a CliError carrying the library's message."""
+    try:
+        return build(*args, **kwargs)
+    except (ValueError, KeyError) as exc:
+        raise CliError(exc.args[0] if exc.args else repr(exc)) from exc
+
+
 def _cmd_synth(args) -> int:
-    obj = get_object(args.object)
-    view = turntable_view(obj, args.view)
-    cloud = generate_view(obj, view, noise=NoiseSpec(0.0, args.sigma), rng_seed=args.seed)
+    obj = _checked(get_object, args.object)
+    view = _checked(turntable_view, obj, args.view)
+    noise = _checked(NoiseSpec, 0.0, args.sigma)
+    cloud = generate_view(obj, view, noise=noise, rng_seed=args.seed)
     out = Path(args.output)
     write_cloud(out, cloud, comments=(
         f"object={obj.name} view={view.view_index} azimuth={view.azimuth_deg:.9g} "
@@ -154,24 +165,32 @@ def _print_fit(planes, gamma: float, rho: float, inlier_count: int, total: int):
 
 
 def _cmd_fit(args) -> int:
+    seed = args.seed
+    if args.method == "mme":
+        normal_cfg = _checked(NormalEstimationConfig, k_neighbors=args.k_neighbors)
+        pcc_cfg = _checked(PccConfig, constraint_tolerance_deg=args.pcc_tolerance,
+                           rng_seed=seed)
+        cfg = _checked(McRansacConfig, iterations=args.iterations,
+                       sample_size=args.sample_size,
+                       constraint_tolerance_deg=args.tolerance, rng_seed=seed)
+    else:
+        cfg = _checked(replace, BENCH_BASELINE, iterations=args.iterations,
+                       sample_size=args.sample_size, rng_seed=seed)
+        if not args.distance_threshold > 0:
+            raise CliError("distance_threshold must be positive")
     cloud = _load_cloud(args.cloud)
     constraints = _load_constraints(args.constraints)
-    seed = args.seed
 
     if args.method == "mme":
-        cloud = estimate_normals(cloud, NormalEstimationConfig(k_neighbors=args.k_neighbors))
+        cloud = estimate_normals(cloud, normal_cfg)
         try:
-            solution, clustering = run_pcc(
-                cloud, constraints,
-                PccConfig(constraint_tolerance_deg=args.pcc_tolerance, rng_seed=seed))
+            solution, clustering = run_pcc(cloud, constraints, pcc_cfg)
         except NoSolution as exc:
             print(f"no admissible assignment: {exc}", file=sys.stderr)
             return EXIT_NO_FIT
         groups = solution_groups(solution, clustering)
         sub = restrict_constraints(constraints, solution)
         refs = np.array([as_unit(cloud.normals[g].mean(axis=0)) for g in groups])
-        cfg = McRansacConfig(iterations=args.iterations, sample_size=args.sample_size,
-                             constraint_tolerance_deg=args.tolerance, rng_seed=seed)
         try:
             fit = run_mcransac(groups, cloud, sub, cfg, reference_directions=refs)
         except NoSatisfyingFit as exc:
@@ -181,8 +200,6 @@ def _cmd_fit(args) -> int:
         _print_fit(fit.planes, gamma, rho, fit.total_inliers, len(cloud))
         return EXIT_OK
 
-    cfg = replace(BENCH_BASELINE, iterations=args.iterations,
-                  sample_size=args.sample_size, rng_seed=seed)
     if args.method == "clustered":
         if cloud.labels is None:
             raise CliError("clustered fitting needs a labelled cloud (label column)")
@@ -205,16 +222,19 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    objects = args.objects.split(",") if args.objects else [o.name for o in builtin_objects()]
-    for name in objects:
-        get_object(name)  # validate early
-    sigmas = [float(s) for s in args.sigmas.split(",")]
-    if any(s < 0 for s in sigmas):
-        raise CliError("sigma must be non-negative")
+    # every argument is checked here, before the first cell runs
     methods = args.methods.split(",") if args.methods else list(METHODS)
     for m in methods:
         if m not in METHODS:
             raise CliError(f"unknown method {m!r}; choose from {', '.join(METHODS)}")
+    objects = args.objects.split(",") if args.objects else [o.name for o in builtin_objects()]
+    for name in objects:
+        _checked(turntable_view, _checked(get_object, name), args.views)
+    sigmas = [_checked(float, s) for s in args.sigmas.split(",")]
+    for s in sigmas:
+        _checked(NoiseSpec, 0.0, s)
+    if args.repeats < 1:
+        raise CliError("repeats must be >= 1")
     results = []
     for method in methods:
         logger.info("sweep: method=%s", method)
@@ -313,6 +333,8 @@ def main(argv=None) -> int:
         _apply_config(args, cmd_defaults, casts)
         if getattr(args, "seed", None) is None:
             args.seed = _default_seed()
+        if args.seed < 0:
+            raise CliError(f"seed must be >= 0, got {args.seed}")
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

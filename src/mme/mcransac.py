@@ -138,6 +138,9 @@ def grow_inliers(
     |group|) non-sample points is tried in turn: the candidate joins the
     inlier set, the plane is refit, and all pairwise constraints are
     re-checked across every group; a violation reverts the candidate.
+    The candidates are the group's points outside the seed sample, kept in
+    group order; that order, and the permutation drawn over it, is part of
+    the output contract, since the accepted sets depend on it.
     """
     if rng is None:
         rng = np.random.default_rng(cfg.rng_seed)
@@ -145,8 +148,7 @@ def grow_inliers(
     inliers = [list(map(int, p.inliers)) for p in planes]
     for gi, g in enumerate(groups):
         g = np.asarray(g, dtype=int)
-        sample = set(inliers[gi])
-        rest = np.array([i for i in g if int(i) not in sample], dtype=int)
+        rest = g[~np.isin(g, inliers[gi])]
         n_eval = min(rest.shape[0], math.ceil(cfg.min_eval_fraction * g.shape[0]))
         order = rng.permutation(rest.shape[0])[:n_eval]
         for r in order:

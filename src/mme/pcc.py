@@ -142,6 +142,8 @@ class PccConfig:
             raise ValueError("cluster_surplus_fraction must be >= 0")
         if self.merge_angle_deg < 0 or self.similarity_threshold_deg <= 0:
             raise ValueError("angle thresholds must be positive")
+        if self.constraint_tolerance_deg < 0:
+            raise ValueError("constraint_tolerance_deg must be >= 0")
         if self.kmeans_max_iter < 1:
             raise ValueError("kmeans_max_iter must be >= 1")
         if self.kmeans_restarts < 1:
@@ -150,8 +152,9 @@ class PccConfig:
 
 @dataclass(eq=False)
 class Cluster:
+    """Ascending indices of the cluster's points, and their unit mean normal."""
+
     point_indices: np.ndarray
-    centroid: np.ndarray
     mean_normal: np.ndarray
 
     @property
@@ -161,10 +164,22 @@ class Cluster:
 
 @dataclass(eq=False)
 class Clustering:
-    """Disjoint clusters over a cloud; assignment[i] == -1 means unclustered."""
+    """Disjoint clusters over a cloud of point_count points.
 
-    assignment: np.ndarray
+    The per-point assignment is not stored: ``assignment`` derives it from
+    the clusters on each access, with assignment[i] the index of the
+    cluster holding point i, or -1 when point i is unclustered.
+    """
+
     clusters: list[Cluster]
+    point_count: int
+
+    @property
+    def assignment(self) -> np.ndarray:
+        out = np.full(self.point_count, -1, dtype=int)
+        for ci, c in enumerate(self.clusters):
+            out[c.point_indices] = ci
+        return out
 
 
 @dataclass(frozen=True)
@@ -202,64 +217,91 @@ def choose_k(max_visible_planes: int, cfg: PccConfig) -> int:
     return n + max(surplus, 0)
 
 
-def _sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
+def _sqdist(cols: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Squared distances from every point to every center, shape (N, k).
+
+    cols holds the point features column by column, shape (d, N).  The
+    squared feature differences are added one column at a time in feature
+    order, the order in which a sum over the feature axis adds them.  That
+    order is part of the output contract: k-means results stay bit-identical
+    to the broadcast (N, k, d) form only while it holds, so neither reorder
+    the sum nor expand it as |a|^2 - 2a.b + |b|^2.
+    """
+    acc = np.square(cols[0][:, None] - centers[:, 0])
+    diff = np.empty_like(acc)
+    for c in range(1, cols.shape[0]):
+        np.subtract(cols[c][:, None], centers[:, c], out=diff)
+        acc += np.square(diff, out=diff)
+    return acc
 
 
-def _kmeans_pp_init(feats: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    centers = np.empty((k, feats.shape[1]))
-    first = int(rng.integers(feats.shape[0]))
-    centers[0] = feats[first]
-    d2 = ((feats - centers[0]) ** 2).sum(axis=1)
+def _kmeans_pp_init(cols: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    d, n = cols.shape
+    centers = np.empty((k, d))
+    first = int(rng.integers(n))
+    centers[0] = cols[:, first]
+    d2 = _sqdist(cols, centers[:1])[:, 0]
     for j in range(1, k):
         total = d2.sum()
         if total <= 0.0:
             # all remaining points coincide with a center; reuse any point
-            centers[j] = feats[int(rng.integers(feats.shape[0]))]
+            centers[j] = cols[:, int(rng.integers(n))]
             continue
-        pick = int(rng.choice(feats.shape[0], p=d2 / total))
-        centers[j] = feats[pick]
-        d2 = np.minimum(d2, ((feats - centers[j]) ** 2).sum(axis=1))
+        pick = int(rng.choice(n, p=d2 / total))
+        centers[j] = cols[:, pick]
+        d2 = np.minimum(d2, _sqdist(cols, centers[j:j + 1])[:, 0])
     return centers
 
 
-def _build_clustering(cloud: PointCloud, full_assignment: np.ndarray) -> Clustering:
-    ids = sorted(int(v) for v in np.unique(full_assignment) if v >= 0)
-    remap = {old: new for new, old in enumerate(ids)}
-    assignment = np.array([remap.get(int(v), -1) for v in full_assignment], dtype=int)
-    clusters = []
-    for new_id in range(len(ids)):
-        idx = np.flatnonzero(assignment == new_id)
-        centroid = cloud.points[idx].mean(axis=0)
-        mean_normal = as_unit(cloud.normals[idx].mean(axis=0))
-        clusters.append(Cluster(idx, centroid, mean_normal))
-    return Clustering(assignment, clusters)
+def _build_clustering(cloud: PointCloud, labels: np.ndarray) -> Clustering:
+    """Clusters from per-point labels, -1 meaning unclustered.
+
+    Cluster i holds the points of the i-th smallest label, in index order.
+    The indices are int32 whenever the cloud is small enough for that,
+    which halves what a kept clustering costs.
+    """
+    dtype = np.int32 if len(cloud) <= np.iinfo(np.int32).max else np.intp
+    order = np.argsort(labels, kind="stable")
+    order = order[np.searchsorted(labels[order], 0):].astype(dtype)
+    groups = np.split(order, np.flatnonzero(np.diff(labels[order])) + 1) if order.size else []
+    clusters = [Cluster(idx, as_unit(cloud.normals[idx].mean(axis=0))) for idx in groups]
+    return Clustering(clusters, len(cloud))
 
 
 def _kmeans_once(feats: np.ndarray, k: int, rng: np.random.Generator, cfg: PccConfig):
-    """One k-means++ / Lloyd run; returns (assignment, within-cluster SSE)."""
-    centers = _kmeans_pp_init(feats, k, rng)
+    """One k-means++ / Lloyd run; returns (assignment, within-cluster SSE).
+
+    Cluster counts and centroid sums come from np.bincount, which adds each
+    cluster's feature values in point order, as the per-cluster mean does.
+    Like the order in _sqdist, this keeps the result bit-identical to a
+    masked pass per cluster and is part of the output contract.
+    """
+    cols = np.ascontiguousarray(feats.T)
+    centers = _kmeans_pp_init(cols, k, rng)
+    points = np.arange(cols.shape[1])
     prev = None
-    assign = np.zeros(feats.shape[0], dtype=int)
+    assign = np.zeros(cols.shape[1], dtype=int)
     for _ in range(cfg.kmeans_max_iter):
-        d2 = _sqdist(feats, centers)
+        d2 = _sqdist(cols, centers)
         assign = np.argmin(d2, axis=1)
-        own = d2[np.arange(feats.shape[0]), assign]
-        empty = [j for j in range(k) if not np.any(assign == j)]
-        if empty:
+        counts = np.bincount(assign, minlength=k)
+        empty = np.flatnonzero(counts == 0)
+        if empty.size:
             donors_used: set[int] = set()
-            order = np.argsort(-own)
+            order = np.argsort(-d2[points, assign])
             for j in empty:
                 donor = next(int(i) for i in order if int(i) not in donors_used)
                 donors_used.add(donor)
-                centers[j] = feats[donor]
+                centers[j] = cols[:, donor]
                 assign[donor] = j
+            counts = np.bincount(assign, minlength=k)
         elif prev is not None and np.array_equal(assign, prev):
             break
-        prev = assign.copy()
-        for j in range(k):
-            centers[j] = feats[assign == j].mean(axis=0)
-    sse = float(_sqdist(feats, centers)[np.arange(feats.shape[0]), assign].sum())
+        prev = assign
+        for c, col in enumerate(cols):
+            centers[:, c] = np.bincount(assign, weights=col, minlength=k)
+        centers /= counts[:, None]
+    sse = float(_sqdist(cols, centers)[points, assign].sum())
     return assign, sse
 
 
@@ -291,9 +333,9 @@ def kmeans_cluster(features: np.ndarray, k: int, cfg: PccConfig, cloud: PointClo
 def merge_similar_clusters(clustering: Clustering, cfg: PccConfig, cloud: PointCloud) -> Clustering:
     """Merge clusters whose mean normals are closer than merge_angle_deg.
 
-    Repeats until no pair is below the threshold; mean normals and
-    centroids are recomputed from the union after each merge, so the
-    result is a fixpoint (idempotent under re-application).
+    Repeats until no pair is below the threshold; the mean normal is
+    recomputed from the union after each merge, so the result is a
+    fixpoint (idempotent under re-application).
     """
     groups = [c.point_indices.copy() for c in clustering.clusters]
     means = [c.mean_normal.copy() for c in clustering.clusters]

@@ -7,6 +7,7 @@ sides of an equivalence test cannot share a bug.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -78,3 +79,82 @@ def random_search_instance(rng):
     sizes = [int(rng.integers(1, 500)) for _ in range(m)]
     tolerance = float(rng.uniform(1.0, 40.0))
     return model, observed, candidates, sizes, tolerance
+
+
+def broadcast_sqdist(a, b):
+    """(N, k) squared distances through an (N, k, d) broadcast temporary."""
+    return ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
+
+
+def _kmeans_pp_init(feats, k, rng):
+    centers = np.empty((k, feats.shape[1]))
+    first = int(rng.integers(feats.shape[0]))
+    centers[0] = feats[first]
+    d2 = ((feats - centers[0]) ** 2).sum(axis=1)
+    for j in range(1, k):
+        total = d2.sum()
+        if total <= 0.0:
+            centers[j] = feats[int(rng.integers(feats.shape[0]))]
+            continue
+        pick = int(rng.choice(feats.shape[0], p=d2 / total))
+        centers[j] = feats[pick]
+        d2 = np.minimum(d2, ((feats - centers[j]) ** 2).sum(axis=1))
+    return centers
+
+
+def reference_lloyd(feats, k, rng, max_iter):
+    """One k-means++ / Lloyd run with an (N, k, d) broadcast distance and a
+    masked pass per cluster; returns (assignment, SSE, reseeded clusters)."""
+    centers = _kmeans_pp_init(feats, k, rng)
+    prev = None
+    reseeds = 0
+    assign = np.zeros(feats.shape[0], dtype=int)
+    for _ in range(max_iter):
+        d2 = broadcast_sqdist(feats, centers)
+        assign = np.argmin(d2, axis=1)
+        own = d2[np.arange(feats.shape[0]), assign]
+        empty = [j for j in range(k) if not np.any(assign == j)]
+        if empty:
+            reseeds += len(empty)
+            donors_used = set()
+            order = np.argsort(-own)
+            for j in empty:
+                donor = next(int(i) for i in order if int(i) not in donors_used)
+                donors_used.add(donor)
+                centers[j] = feats[donor]
+                assign[donor] = j
+        elif prev is not None and np.array_equal(assign, prev):
+            break
+        prev = assign.copy()
+        for j in range(k):
+            centers[j] = feats[assign == j].mean(axis=0)
+    sse = float(broadcast_sqdist(feats, centers)[np.arange(feats.shape[0]), assign].sum())
+    return assign, sse, reseeds
+
+
+def remap_labels(labels):
+    """Per-point labels renumbered 0.. in order of the distinct labels >= 0,
+    built point by point; -1 stays -1."""
+    ids = sorted(int(v) for v in np.unique(labels) if v >= 0)
+    remap = {old: new for new, old in enumerate(ids)}
+    return np.array([remap.get(int(v), -1) for v in labels], dtype=int)
+
+
+def reference_kmeans(features, k, valid, rng_seed, restarts, max_iter):
+    """Seeded k-means over the valid rows of features, restarts keeping the
+    lowest SSE (earliest on ties).
+
+    Returns (assignment over every row, -1 for invalid rows, renumbered as
+    the clustering reports it; total empty-cluster reseeds over all runs).
+    """
+    vidx = np.flatnonzero(valid)
+    feats = features[vidx]
+    best_assign, best_sse, reseeds = None, math.inf, 0
+    for seed in np.random.SeedSequence(rng_seed).spawn(restarts):
+        assign, sse, r = reference_lloyd(feats, k, np.random.default_rng(seed), max_iter)
+        reseeds += r
+        if sse < best_sse:
+            best_assign, best_sse = assign, sse
+    full = np.full(features.shape[0], -1, dtype=int)
+    full[vidx] = best_assign
+    return remap_labels(full), reseeds

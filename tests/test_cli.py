@@ -198,6 +198,56 @@ class TestBench:
                    str(tmp_path / "y.csv")) == EXIT_INVALID
 
 
+class TestBadArguments:
+    """A rejected parameter ends in exit 1 and one error line, before any work."""
+
+    def expect_one_error_line(self, code, capsys):
+        assert code == EXIT_INVALID
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+
+    @pytest.mark.parametrize("flags", [
+        ("--sample-size", "2"),
+        ("--iterations", "0"),
+        ("--k-neighbors", "2"),
+        ("--tolerance", "-1"),
+        ("--seed", "-1"),
+        ("--pcc-tolerance", "-1"),
+        ("--method", "iterative", "--distance-threshold", "-1"),
+    ])
+    def test_fit(self, cube_files, capsys, flags):
+        cloud, constraints = cube_files
+        capsys.readouterr()
+        code = run("fit", "--cloud", str(cloud), "--constraints", str(constraints), *flags)
+        self.expect_one_error_line(code, capsys)
+
+    @pytest.mark.parametrize("flags", [("--view", "9"), ("--sigma", "-1")])
+    def test_synth(self, tmp_path, capsys, flags):
+        out = tmp_path / "x.xyz"
+        code = run("synth", "--object", "cube", *flags, "-o", str(out))
+        self.expect_one_error_line(code, capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [
+        ("--views", "9"),
+        ("--objects", "cube,teapot"),
+        ("--sigmas", "0,x"),
+        ("--repeats", "0"),
+    ])
+    def test_bench_checks_before_the_sweep(self, tmp_path, capsys, flags):
+        out = tmp_path / "x.csv"
+        code = run("bench", "--methods", "iterative", *flags, "-o", str(out))
+        self.expect_one_error_line(code, capsys)
+        assert not out.exists()
+
+    def test_config_value(self, tmp_path, capsys):
+        cfg = tmp_path / "synth.cfg"
+        cfg.write_text("view = 9\n")
+        code = run("synth", "--object", "cube", "--config", str(cfg),
+                   "-o", str(tmp_path / "x.xyz"))
+        self.expect_one_error_line(code, capsys)
+
+
 class TestParser:
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as err:

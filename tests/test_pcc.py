@@ -15,6 +15,9 @@ from mme.pcc import (
     ConstraintMatrix,
     NoSolution,
     PccConfig,
+    _build_clustering,
+    _kmeans_once,
+    _sqdist,
     choose_k,
     kmeans_cluster,
     merge_similar_clusters,
@@ -28,7 +31,14 @@ from mme.pcc import (
     write_constraint_matrix,
 )
 from mme.synth import NoiseSpec, generate_view, get_object, turntable_view
-from oracle import enumerate_assignments, random_search_instance
+from oracle import (
+    broadcast_sqdist,
+    enumerate_assignments,
+    random_search_instance,
+    reference_kmeans,
+    reference_lloyd,
+    remap_labels,
+)
 
 # Reference example: a 3-plane model observed as 4 clusters.  The measured
 # cluster matrix is symmetrized (44.5 averages its two off-diagonal
@@ -181,15 +191,99 @@ class TestKmeans:
             PccConfig(similarity_threshold_deg=0.0)
 
 
+def feature_cloud(rng, n):
+    """A cloud whose normals lean on +z, so every cluster has a mean normal."""
+    normals = rng.normal(0.0, 0.3, size=(n, 3)) + [0.0, 0.0, 1.0]
+    return PointCloud(rng.normal(size=(n, 3)), normals=normals / np.linalg.norm(
+        normals, axis=1, keepdims=True))
+
+
+class TestKmeansOracle:
+    """kmeans_cluster against the broadcast-distance, masked-update k-means
+    of tests/oracle.py: equal bit for bit, not merely close."""
+
+    def check(self, feats, k, cloud, cfg):
+        # each run: the assignment and the SSE, which reads every center
+        # and distance, agree to the last bit
+        usable = feats[cloud.normal_ok]
+        for seed in np.random.SeedSequence(cfg.rng_seed).spawn(cfg.kmeans_restarts):
+            assign, sse = _kmeans_once(usable, k, np.random.default_rng(seed), cfg)
+            ref_assign, ref_sse, _ = reference_lloyd(usable, k, np.random.default_rng(seed),
+                                                     cfg.kmeans_max_iter)
+            assert np.array_equal(assign, ref_assign)
+            assert sse == ref_sse
+        got = kmeans_cluster(feats, k, cfg, cloud)
+        want, reseeds = reference_kmeans(feats, k, cloud.normal_ok, cfg.rng_seed,
+                                         cfg.kmeans_restarts, cfg.kmeans_max_iter)
+        assert np.array_equal(got.assignment, want)
+        assert len(got.clusters) == want.max() + 1
+        for ci, c in enumerate(got.clusters):
+            assert np.array_equal(c.point_indices, np.flatnonzero(want == ci))
+            assert np.array_equal(c.mean_normal,
+                                  as_unit(cloud.normals[c.point_indices].mean(axis=0)))
+        return reseeds
+
+    def test_distances_match_broadcast_form(self):
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            a = rng.normal(size=(int(rng.integers(1, 300)), 6)) * rng.uniform(0.01, 100.0)
+            b = rng.normal(size=(int(rng.integers(1, 10)), 6))
+            assert np.array_equal(_sqdist(np.ascontiguousarray(a.T), b), broadcast_sqdist(a, b))
+
+    def test_random_features(self):
+        rng = np.random.default_rng(77)
+        for trial in range(40):
+            n = int(rng.integers(8, 400))
+            k = int(rng.integers(1, 9))
+            cloud = feature_cloud(rng, n)
+            feats = rng.normal(size=(n, 6)) * rng.uniform(0.05, 3.0, size=6)
+            self.check(feats, k, cloud, PccConfig(rng_seed=trial))
+
+    def test_k_one(self, rng):
+        cloud = feature_cloud(rng, 50)
+        self.check(rng.normal(size=(50, 6)), 1, cloud, PccConfig(rng_seed=4))
+
+    def test_restarts(self, rng):
+        cloud = feature_cloud(rng, 300)
+        feats = rng.normal(size=(300, 6))
+        for restarts in (2, 5):
+            self.check(feats, 6, cloud, PccConfig(rng_seed=11, kmeans_restarts=restarts))
+
+    def test_duplicated_points_force_reseed(self, rng):
+        # three distinct rows repeated: k-means++ runs out of distinct points
+        # and reuses one, so a duplicated center starts empty
+        feats = np.repeat(rng.normal(size=(3, 6)), [10, 7, 5], axis=0)
+        cloud = feature_cloud(rng, feats.shape[0])
+        reseeds = sum(
+            self.check(feats, 5, cloud, PccConfig(rng_seed=seed, kmeans_restarts=2))
+            for seed in range(4))
+        assert reseeds > 0
+
+    def test_invalid_normals_stay_unclustered(self, rng):
+        cloud = feature_cloud(rng, 200)
+        cloud.normal_ok[rng.random(200) < 0.2] = False
+        feats = rng.normal(size=(200, 6))
+        self.check(feats, 4, cloud, PccConfig(rng_seed=2, kmeans_restarts=3))
+        got = kmeans_cluster(feats, 4, PccConfig(rng_seed=2), cloud)
+        assert (got.assignment[~cloud.normal_ok] == -1).all()
+        assert (got.assignment[cloud.normal_ok] >= 0).all()
+
+    def test_clusters_from_labels_with_gaps(self, rng):
+        cloud = feature_cloud(rng, 120)
+        labels = rng.choice([-1, 0, 2, 3, 7], size=120)
+        clustering = _build_clustering(cloud, labels)
+        assert np.array_equal(clustering.assignment, remap_labels(labels))
+        assert [c.size for c in clustering.clusters] == \
+            [int(np.count_nonzero(labels == v)) for v in (0, 2, 3, 7)]
+        assert len(_build_clustering(cloud, np.full(120, -1)).clusters) == 0
+
+
 def tiny_clustering(cloud, groups):
-    assignment = np.full(len(cloud), -1, dtype=int)
     clusters = []
-    for ci, idx in enumerate(groups):
+    for idx in groups:
         idx = np.asarray(idx, dtype=int)
-        assignment[idx] = ci
-        clusters.append(Cluster(idx, cloud.points[idx].mean(axis=0),
-                                as_unit(cloud.normals[idx].mean(axis=0))))
-    return Clustering(assignment, clusters)
+        clusters.append(Cluster(idx, as_unit(cloud.normals[idx].mean(axis=0))))
+    return Clustering(clusters, len(cloud))
 
 
 class TestMerge:
