@@ -7,111 +7,4 @@ RANSAC).  Includes a synthetic depth-scene generator, unconstrained
 RANSAC baselines, and a benchmark harness.
 """
 
-from .geometry import (
-    DegenerateInput,
-    PlaneModel,
-    PointCloud,
-    angle_between,
-    angle_deviation,
-    canonical_normal,
-    fit_plane_lsq,
-    plane_angle,
-)
-from .normals import NormalEstimationConfig, estimate_normals
-from .pcc import (
-    ConstraintMatrix,
-    Clustering,
-    NoSolution,
-    PccConfig,
-    PccSolution,
-    choose_k,
-    kmeans_cluster,
-    merge_similar_clusters,
-    normalize_features,
-    object_matrix,
-    read_constraint_matrix,
-    run_pcc,
-    similarity_reduction,
-    solution_groups,
-    tree_search,
-    write_constraint_matrix,
-)
-from .mcransac import (
-    McRansacConfig,
-    MultiPlaneFit,
-    NoSatisfyingFit,
-    check_constraints,
-    grow_inliers,
-    hypothesize,
-    restrict_constraints,
-    run_mcransac,
-)
-from .baselines import clustered_ransac, iterative_ransac
-from .synth import (
-    Face,
-    NoiseSpec,
-    ObjectSpec,
-    ViewSpec,
-    builtin_objects,
-    generate_view,
-    get_object,
-    read_cloud,
-    turntable_view,
-    write_cloud,
-)
-from .bench import FitReport, constraint_error, constraint_error_from_angles, run_experiment
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "DegenerateInput",
-    "PlaneModel",
-    "PointCloud",
-    "angle_between",
-    "angle_deviation",
-    "canonical_normal",
-    "fit_plane_lsq",
-    "plane_angle",
-    "NormalEstimationConfig",
-    "estimate_normals",
-    "ConstraintMatrix",
-    "Clustering",
-    "NoSolution",
-    "PccConfig",
-    "PccSolution",
-    "choose_k",
-    "kmeans_cluster",
-    "merge_similar_clusters",
-    "normalize_features",
-    "object_matrix",
-    "read_constraint_matrix",
-    "run_pcc",
-    "similarity_reduction",
-    "solution_groups",
-    "tree_search",
-    "write_constraint_matrix",
-    "McRansacConfig",
-    "MultiPlaneFit",
-    "NoSatisfyingFit",
-    "check_constraints",
-    "grow_inliers",
-    "hypothesize",
-    "restrict_constraints",
-    "run_mcransac",
-    "clustered_ransac",
-    "iterative_ransac",
-    "Face",
-    "NoiseSpec",
-    "ObjectSpec",
-    "ViewSpec",
-    "builtin_objects",
-    "generate_view",
-    "get_object",
-    "read_cloud",
-    "turntable_view",
-    "write_cloud",
-    "FitReport",
-    "constraint_error",
-    "constraint_error_from_angles",
-    "run_experiment",
-]

@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from .geometry import DegenerateInput, PlaneModel, PointCloud, fit_plane_lsq
-from .mcransac import McRansacConfig, _RESAMPLE_ATTEMPTS
+from .mcransac import McRansacConfig, RESAMPLE_ATTEMPTS
 
 #: default inlier distance threshold in scene units
 DEFAULT_DISTANCE_THRESHOLD = 1e-3
@@ -30,7 +30,7 @@ def _ransac_single(
     best_inliers = None
     for _ in range(cfg.iterations):
         plane = None
-        for _ in range(_RESAMPLE_ATTEMPTS):
+        for _ in range(RESAMPLE_ATTEMPTS):
             pick = np.sort(rng.choice(idx.shape[0], size=cfg.sample_size, replace=False))
             try:
                 plane = fit_plane_lsq(pts[pick], indices=idx[pick])

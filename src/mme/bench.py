@@ -15,7 +15,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .baselines import DEFAULT_DISTANCE_THRESHOLD, clustered_ransac, iterative_ransac
-from .geometry import DegenerateInput, angle_between, angle_deviation, as_unit, oriented_normals
+from .geometry import (
+    DegenerateInput,
+    angle_between,
+    angle_deviation,
+    as_unit,
+    oriented_normals,
+    pair_angles,
+    upper_pairs,
+)
 from .mcransac import (
     McRansacConfig,
     NoSatisfyingFit,
@@ -97,13 +105,13 @@ def constraint_error_from_angles(measured_deg, model_deg) -> tuple[float, float]
     Deviations use the same folding convention as the constraint checks.
     An empty pair list (a single plane) is (0, 0) by convention.
     """
-    measured = list(measured_deg)
-    model = list(model_deg)
-    if len(measured) != len(model):
+    measured = np.asarray(measured_deg, dtype=float)
+    model = np.asarray(model_deg, dtype=float)
+    if measured.shape != model.shape:
         raise ValueError("need one model angle per measured angle")
-    if not measured:
+    if not measured.size:
         return 0.0, 0.0
-    devs = np.array([angle_deviation(float(m), float(a)) for m, a in zip(measured, model)])
+    devs = angle_deviation(measured, model)
     return float(devs.mean()), float(devs.std())
 
 
@@ -114,12 +122,8 @@ def constraint_error(planes, constraints: ConstraintMatrix, reference_directions
     if len(planes) < 2:
         return 0.0, 0.0
     normals = oriented_normals(np.array([p.normal for p in planes]), reference_directions)
-    measured, model = [], []
-    for i in range(len(planes)):
-        for j in range(i + 1, len(planes)):
-            measured.append(angle_between(normals[i], normals[j]))
-            model.append(float(constraints.entries[i, j]))
-    return constraint_error_from_angles(measured, model)
+    return constraint_error_from_angles(pair_angles(normals),
+                                        constraints.entries[upper_pairs(len(planes))])
 
 
 def _derive_seed(*parts) -> int:
@@ -147,6 +151,16 @@ def label_groups(cloud, sample_size: int):
             groups.append(idx)
             kept.append(int(lab))
     return groups, kept
+
+
+def _face_pair_angles(planes, gt, faces) -> tuple[np.ndarray, np.ndarray]:
+    """Fitted and true dihedral angles over the plane pairs that cover
+    different faces; ``faces[i]`` is the face index of plane i in gt."""
+    faces = np.asarray(faces, dtype=int)
+    normals = oriented_normals(np.array([p.normal for p in planes]), gt[faces])
+    i, j = upper_pairs(len(planes))
+    apart = faces[i] != faces[j]
+    return pair_angles(normals)[apart], pair_angles(gt[faces])[apart]
 
 
 def _orientation_error(planes, plane_gt_normals) -> float:
@@ -229,17 +243,7 @@ def _run_clustered(cloud, obj, view, method_seed: int) -> FitReport:
     except DegenerateInput:
         return _failure("degenerate", plane_count=len(stage.groups))
     gt = face_normals_in_view(obj, view)
-    normals = oriented_normals(np.array([p.normal for p in planes]),
-                               gt[stage.majority])
-    measured, model = [], []
-    for i in range(len(planes)):
-        for j in range(i + 1, len(planes)):
-            if stage.majority[i] == stage.majority[j]:
-                continue
-            measured.append(angle_between(normals[i], normals[j]))
-            model.append(angle_between(gt[stage.majority[i]],
-                                       gt[stage.majority[j]]))
-    gamma, rho = constraint_error_from_angles(measured, model)
+    gamma, rho = constraint_error_from_angles(*_face_pair_angles(planes, gt, stage.majority))
     orientation = _orientation_error(planes, gt[stage.majority])
     runtime = (time.perf_counter() - t0) * 1e3
     ratio = sum(p.inliers.shape[0] for p in planes) / len(cloud)
@@ -256,15 +260,8 @@ def _run_iterative(cloud, obj, view, method_seed: int) -> FitReport:
     gt = face_normals_in_view(obj, view)
     matched = [int(np.argmin([_fold(angle_between(p.normal, g)) for g in gt])) for p in planes]
     orientation = _orientation_error(planes, gt[matched])
-    measured, model = [], []
-    normals = oriented_normals(np.array([p.normal for p in planes]), gt[matched])
-    for i in range(len(planes)):
-        for j in range(i + 1, len(planes)):
-            if matched[i] == matched[j]:
-                continue
-            measured.append(angle_between(normals[i], normals[j]))
-            model.append(angle_between(gt[matched[i]], gt[matched[j]]))
-    if measured:
+    measured, model = _face_pair_angles(planes, gt, matched)
+    if measured.size:
         gamma, rho = constraint_error_from_angles(measured, model)
     else:
         gamma, rho = float("nan"), float("nan")

@@ -67,6 +67,30 @@ class _Parser(argparse.ArgumentParser):
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_INVALID)
 
+    def config_values(self, path: str) -> dict:
+        """Typed values of a key=value config file, checked as the flags are.
+
+        A key is the destination of any optional flag that takes a value;
+        its type and choices are the flag's own.
+        """
+        actions = {a.dest: a for a in self._actions
+                   if a.option_strings and a.nargs != 0 and not a.required
+                   and a.dest != "config"}
+        values = {}
+        for key, raw in _read_config(path).items():
+            action = actions.get(key)
+            if action is None:
+                raise CliError(f"unknown config key {key!r}")
+            try:
+                value = action.type(raw) if action.type else raw
+            except ValueError as exc:
+                raise CliError(f"config key {key}={raw!r}: {exc}") from exc
+            if action.choices is not None and value not in action.choices:
+                raise CliError(f"config key {key}={raw!r}: choose from "
+                               f"{', '.join(map(str, action.choices))}")
+            values[key] = value
+        return values
+
 
 def _read_config(path: str) -> dict[str, str]:
     """key=value file, one per line; '#' comments and blank lines ignored."""
@@ -94,22 +118,6 @@ def _default_seed() -> int:
         return int(env)
     except ValueError as exc:
         raise CliError(f"MME_SEED must be an integer, got {env!r}") from exc
-
-
-def _apply_config(args, parser_defaults: dict, casts: dict):
-    """Layer precedence: explicit flags > config file entries > defaults."""
-    if not getattr(args, "config", None):
-        return
-    values = _read_config(args.config)
-    for key, raw in values.items():
-        if key not in casts:
-            raise CliError(f"unknown config key {key!r}")
-        if getattr(args, key) != parser_defaults[key]:
-            continue  # flag given explicitly wins
-        try:
-            setattr(args, key, casts[key](raw))
-        except ValueError as exc:
-            raise CliError(f"config key {key}={raw!r}: {exc}") from exc
 
 
 def _checked(build, *args, **kwargs):
@@ -249,12 +257,12 @@ def _cmd_bench(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict]]:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, _Parser]]:
+    """The parser and its subcommand parsers by name."""
     parser = _Parser(prog="mme", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     parser.add_argument("-v", "--verbose", action="store_true", help="debug logging")
     sub = parser.add_subparsers(dest="command", required=True)
-    defaults: dict[str, dict] = {}
 
     p = sub.add_parser("synth", parents=[], help="generate a synthetic view",
                        description="Generate one noisy rendered view of a built-in object.")
@@ -266,7 +274,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict]]:
     p.add_argument("--config", default=None, help="key=value config file")
     p.add_argument("-o", "--output", required=True, help="cloud output path")
     p.set_defaults(func=_cmd_synth)
-    defaults["synth"] = {"view": 1, "sigma": 0.0, "seed": None}
 
     p = sub.add_parser("fit", help="fit constrained planes to a cloud",
                        description="Fit a plane set to a point cloud under an "
@@ -286,11 +293,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict]]:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--config", default=None, help="key=value config file")
     p.set_defaults(func=_cmd_fit)
-    defaults["fit"] = {
-        "method": "mme", "iterations": 50, "sample_size": 3, "tolerance": 2.0,
-        "pcc_tolerance": 20.0, "k_neighbors": 7,
-        "distance_threshold": DEFAULT_DISTANCE_THRESHOLD, "seed": None,
-    }
 
     p = sub.add_parser("bench", help="run the benchmark sweep",
                        description="Sweep methods over objects, noise levels, "
@@ -306,31 +308,22 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict]]:
                    help="write zero runtimes for byte-reproducible output")
     p.add_argument("-o", "--output", required=True, help="results CSV path")
     p.set_defaults(func=_cmd_bench)
-    defaults["bench"] = {
-        "methods": None, "objects": None, "sigmas": "0,1e-5,4e-5,6e-5",
-        "views": 8, "repeats": 3, "seed": None,
-    }
-    return parser, defaults
-
-
-_CASTS = {
-    "view": int, "sigma": float, "seed": int, "method": str, "iterations": int,
-    "sample_size": int, "tolerance": float, "pcc_tolerance": float,
-    "k_neighbors": int, "distance_threshold": float, "methods": str,
-    "objects": str, "sigmas": str, "views": int, "repeats": int,
-}
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
-    parser, defaults = build_parser()
+    parser, commands = build_parser()
     args = parser.parse_args(argv)
     logging.basicConfig(
         level=logging.DEBUG if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s")
     try:
-        cmd_defaults = defaults.get(args.command, {})
-        casts = {k: _CASTS[k] for k in cmd_defaults}
-        _apply_config(args, cmd_defaults, casts)
+        if args.config:
+            # precedence: explicit flags > config file entries > defaults;
+            # the entries become defaults, so whatever argparse parses wins
+            command = commands[args.command]
+            command.set_defaults(**command.config_values(args.config))
+            args = parser.parse_args(argv)
         if getattr(args, "seed", None) is None:
             args.seed = _default_seed()
         if args.seed < 0:

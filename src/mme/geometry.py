@@ -7,20 +7,13 @@ for points p on the plane.  Angles are always handled in degrees.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
 
 class DegenerateInput(ValueError):
     """Input geometry cannot support the requested operation."""
-
-
-def vec3(x: float, y: float, z: float) -> np.ndarray:
-    """Build a finite 3-vector; NaN/Inf components are rejected."""
-    v = np.array([x, y, z], dtype=float)
-    if not np.all(np.isfinite(v)):
-        raise DegenerateInput(f"non-finite vector components: {v}")
-    return v
 
 
 def as_unit(v) -> np.ndarray:
@@ -38,17 +31,47 @@ def angle_between(a, b) -> float:
     return float(np.degrees(np.arccos(d)))
 
 
-def angle_deviation(measured_deg: float, model_deg: float) -> float:
-    """Absolute deviation of a measured plane angle from a model entry.
+@cache
+def upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays (i, j) of every pair i < j of n items, in row-major order.
+
+    Cached per n and read-only, so the per-check cost is a dict lookup.
+    """
+    pairs = np.triu_indices(n, k=1)
+    for ix in pairs:
+        ix.flags.writeable = False
+    return pairs
+
+
+def pair_angles(normals) -> np.ndarray:
+    """Angles in degrees between rows i < j of (n, 3) unit vectors, in the
+    order of upper_pairs(n).
+
+    The dot products come from np.vecdot, which forms each one exactly as
+    angle_between's np.dot does.  A v @ v.T matrix product does not: BLAS
+    sums the larger products in another order, so its angles differ in the
+    last bit and every consumer's output would drift.  The vecdot runs over
+    the full n x n grid, which for a model's few planes costs less than
+    gathering the pairs first.
+    """
+    v = np.asarray(normals, dtype=float).reshape(-1, 3)
+    cos = np.vecdot(v[:, None], v[None, :])[upper_pairs(v.shape[0])]
+    return np.degrees(np.arccos(cos.clip(-1.0, 1.0)))
+
+
+def angle_deviation(measured_deg, model_deg):
+    """Absolute deviation of measured plane angles from model entries.
 
     Model entries <= 90 are compared orientation-free: both angles are
     folded onto [0, 90] so the sign of either normal cannot matter.
     Obtuse model entries are compared raw; they only make sense when the
     measured angle comes from consistently oriented (outward) normals.
+    Works elementwise on arrays; scalars give a scalar.
     """
-    if model_deg <= 90.0:
-        return abs(min(measured_deg, 180.0 - measured_deg) - model_deg)
-    return abs(measured_deg - model_deg)
+    measured = np.asarray(measured_deg, dtype=float)
+    model = np.asarray(model_deg, dtype=float)
+    folded = np.minimum(measured, 180.0 - measured)
+    return np.abs(np.where(model <= 90.0, folded, measured) - model)[()]
 
 
 def canonical_normal(n) -> np.ndarray:
@@ -84,15 +107,13 @@ class PlaneModel:
     """An infinite plane with fit bookkeeping.
 
     normal . p = offset for points p on the plane.  ``inliers`` indexes
-    whatever cloud the plane was fitted against; ``residual_bound`` is the
-    largest orthogonal distance seen among the fitted points.
+    whatever cloud the plane was fitted against.
     """
 
     normal: np.ndarray
     offset: float
     centroid: np.ndarray
     inliers: np.ndarray
-    residual_bound: float = 0.0
 
     def __post_init__(self):
         if abs(float(np.linalg.norm(self.normal)) - 1.0) > 1e-9:
@@ -101,11 +122,6 @@ class PlaneModel:
     def distances(self, points) -> np.ndarray:
         """Orthogonal distances from points (N, 3) to the plane."""
         return np.abs(np.asarray(points, dtype=float) @ self.normal - self.offset)
-
-
-def plane_angle(p: PlaneModel, q: PlaneModel) -> float:
-    """Angle between two plane normals in degrees, in [0, 180]."""
-    return angle_between(p.normal, q.normal)
 
 
 def fit_plane_lsq(points, indices=None) -> PlaneModel:
@@ -132,12 +148,11 @@ def fit_plane_lsq(points, indices=None) -> PlaneModel:
         raise DegenerateInput("points are collinear or coincident")
     normal = canonical_normal(as_unit(evecs[:, 0]))
     offset = float(normal @ centroid)
-    residuals = np.abs(centered @ normal)
     if indices is None:
         inliers = np.arange(pts.shape[0])
     else:
         inliers = np.asarray(indices, dtype=int)
-    return PlaneModel(normal, offset, centroid, inliers, float(residuals.max()))
+    return PlaneModel(normal, offset, centroid, inliers)
 
 
 @dataclass(eq=False)

@@ -20,10 +20,13 @@ from .geometry import (
     angle_deviation,
     fit_plane_lsq,
     oriented_normals,
+    pair_angles,
+    upper_pairs,
 )
 from .pcc import ConstraintMatrix, PccSolution
 
-_RESAMPLE_ATTEMPTS = 10
+#: degenerate minimal samples redrawn before a group's draw gives up
+RESAMPLE_ATTEMPTS = 10
 
 
 class NoSatisfyingFit(RuntimeError):
@@ -87,13 +90,8 @@ def check_constraints(
     if len(planes) != constraints.size:
         raise ValueError("need exactly one plane per constraint row")
     normals = oriented_normals(np.array([p.normal for p in planes]), reference_directions)
-    cos = np.clip(normals @ normals.T, -1.0, 1.0)
-    measured = np.degrees(np.arccos(cos))
-    for i in range(len(planes)):
-        for j in range(i + 1, len(planes)):
-            if angle_deviation(float(measured[i, j]), float(constraints.entries[i, j])) > tolerance_deg:
-                return False
-    return True
+    model = constraints.entries[upper_pairs(len(planes))]
+    return not np.count_nonzero(angle_deviation(pair_angles(normals), model) > tolerance_deg)
 
 
 def hypothesize(groups, cloud: PointCloud, cfg: McRansacConfig, rng=None) -> list[PlaneModel]:
@@ -111,7 +109,7 @@ def hypothesize(groups, cloud: PointCloud, cfg: McRansacConfig, rng=None) -> lis
             raise DegenerateInput(
                 f"group of {g.shape[0]} points cannot seed a sample of {cfg.sample_size}"
             )
-        for _ in range(_RESAMPLE_ATTEMPTS):
+        for _ in range(RESAMPLE_ATTEMPTS):
             pick = np.sort(rng.choice(g, size=cfg.sample_size, replace=False))
             try:
                 planes.append(fit_plane_lsq(cloud.points[pick], indices=pick))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import DegenerateInput, PointCloud, angle_between, as_unit
+from .geometry import DegenerateInput, PointCloud, as_unit, pair_angles, upper_pairs
 from .normals import NormalEstimationConfig, estimate_normals
 
 logger = logging.getLogger(__name__)
@@ -339,19 +339,15 @@ def merge_similar_clusters(clustering: Clustering, cfg: PccConfig, cloud: PointC
     """
     groups = [c.point_indices.copy() for c in clustering.clusters]
     means = [c.mean_normal.copy() for c in clustering.clusters]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(groups)):
-            for j in range(i + 1, len(groups)):
-                if angle_between(means[i], means[j]) < cfg.merge_angle_deg:
-                    groups[i] = np.sort(np.concatenate([groups[i], groups[j]]))
-                    means[i] = as_unit(cloud.normals[groups[i]].mean(axis=0))
-                    del groups[j], means[j]
-                    changed = True
-                    break
-            if changed:
-                break
+    while True:
+        # the first close pair in row-major order merges, then rescan
+        close = np.flatnonzero(pair_angles(means) < cfg.merge_angle_deg)
+        if not close.size:
+            break
+        i, j = (int(ix[close[0]]) for ix in upper_pairs(len(means)))
+        groups[i] = np.sort(np.concatenate([groups[i], groups[j]]))
+        means[i] = as_unit(cloud.normals[groups[i]].mean(axis=0))
+        del groups[j], means[j]
     full = np.full(len(cloud), -1, dtype=int)
     for new_id, idx in enumerate(groups):
         full[idx] = new_id
@@ -361,12 +357,9 @@ def merge_similar_clusters(clustering: Clustering, cfg: PccConfig, cloud: PointC
 def object_matrix(clustering: Clustering) -> ConstraintMatrix:
     """Pairwise angles between cluster mean normals."""
     m = len(clustering.clusters)
+    i, j = upper_pairs(m)
     entries = np.zeros((m, m))
-    for i in range(m):
-        for j in range(i + 1, m):
-            a = angle_between(clustering.clusters[i].mean_normal, clustering.clusters[j].mean_normal)
-            entries[i, j] = a
-            entries[j, i] = a
+    entries[i, j] = entries[j, i] = pair_angles([c.mean_normal for c in clustering.clusters])
     return ConstraintMatrix(entries, label="clusters")
 
 

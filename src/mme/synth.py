@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import DegenerateInput, PointCloud, angle_between, as_unit
+from .geometry import DegenerateInput, PointCloud, as_unit, pair_angles, upper_pairs
 from .pcc import ConstraintMatrix
 
 #: quoted sensor noise sigmas are converted to scene units with this factor
@@ -80,14 +80,9 @@ class ObjectSpec:
 
 def dihedral_consistency(obj: ObjectSpec) -> float:
     """Largest |face angle - model entry| over the model faces, degrees."""
-    worst = 0.0
-    for i, fi in enumerate(obj.model_face_ids):
-        for j, fj in enumerate(obj.model_face_ids):
-            if i >= j:
-                continue
-            measured = angle_between(obj.faces[fi].normal, obj.faces[fj].normal)
-            worst = max(worst, abs(measured - float(obj.model_matrix.entries[i, j])))
-    return worst
+    measured = pair_angles([obj.faces[f].normal for f in obj.model_face_ids])
+    model = obj.model_matrix.entries[upper_pairs(len(obj.model_face_ids))]
+    return float(np.abs(measured - model).max(initial=0.0))
 
 
 def _face(face_id: int, vertices, normal) -> Face:

@@ -158,3 +158,32 @@ def reference_kmeans(features, k, valid, rng_seed, restarts, max_iter):
     full = np.full(features.shape[0], -1, dtype=int)
     full[vidx] = best_assign
     return remap_labels(full), reseeds
+
+
+def _pair_angle(a, b) -> float:
+    d = float(np.clip(np.dot(a, b), -1.0, 1.0))
+    return float(np.degrees(np.arccos(d)))
+
+
+def reference_merge(groups, means, normals, merge_angle_deg):
+    """The seed's merge scan, one pair at a time: the first pair in row-major
+    order whose mean normals are closer than the threshold merges, the
+    union's mean normal is recomputed, and the scan restarts.  Returns the
+    merged point-index groups in cluster order."""
+    groups = [np.asarray(g) for g in groups]
+    means = [np.asarray(m, dtype=float) for m in means]
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(groups)):
+            for j in range(i + 1, len(groups)):
+                if _pair_angle(means[i], means[j]) < merge_angle_deg:
+                    groups[i] = np.sort(np.concatenate([groups[i], groups[j]]))
+                    mean = normals[groups[i]].mean(axis=0)
+                    means[i] = mean / float(np.linalg.norm(mean))
+                    del groups[j], means[j]
+                    changed = True
+                    break
+            if changed:
+                break
+    return groups

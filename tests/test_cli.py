@@ -135,6 +135,28 @@ class TestConfigAndSeed:
                    "-o", str(plain)) == EXIT_OK
         assert flagged.read_bytes() == plain.read_bytes()
 
+    def test_explicit_flag_equal_to_default_beats_config(self, tmp_path):
+        cfg = tmp_path / "synth.cfg"
+        cfg.write_text("sigma = 4e-5\n")
+        flagged = tmp_path / "flagged.xyz"
+        plain = tmp_path / "plain.xyz"
+        assert run("synth", "--object", "cube", "--sigma", "0", "--config", str(cfg),
+                   "--seed", "3", "-o", str(flagged)) == EXIT_OK
+        assert run("synth", "--object", "cube", "--sigma", "0", "--seed", "3",
+                   "-o", str(plain)) == EXIT_OK
+        assert flagged.read_bytes() == plain.read_bytes()
+
+    def test_config_value_outside_choices(self, cube_files, tmp_path, capsys):
+        cloud, constraints = cube_files
+        cfg = tmp_path / "fit.cfg"
+        cfg.write_text("method = bogus\n")
+        capsys.readouterr()
+        code = run("fit", "--cloud", str(cloud), "--constraints", str(constraints),
+                   "--config", str(cfg))
+        assert code == EXIT_INVALID
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "bogus" in err[0]
+
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "synth.cfg"
         cfg.write_text("sima = 1e-5\n")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import planar_cloud, two_plane_cloud
-from mme.geometry import DegenerateInput, PointCloud, angle_between, fit_plane_lsq
+from mme.geometry import DegenerateInput, PlaneModel, PointCloud, angle_between, fit_plane_lsq
 from mme.mcransac import (
     McRansacConfig,
     NoSatisfyingFit,
@@ -80,6 +80,27 @@ class TestCheckConstraints:
     def test_plane_count_mismatch(self, rng):
         with pytest.raises(ValueError):
             check_constraints(self.planes(90.0, rng)[:1], RIGHT_ANGLE, 2.0)
+
+    def test_many_planes_measure_like_angle_between(self, rng):
+        # 14 planes against their own angle_between matrix: zero tolerance
+        # holds only if every pair angle is bit-identical to angle_between,
+        # which a normals @ normals.T check is not at this size
+        for _ in range(10):
+            normals = rng.normal(size=(14, 3))
+            normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+            planes = [PlaneModel(v, 0.0, np.zeros(3), np.arange(3)) for v in normals]
+            entries = np.zeros((14, 14))
+            for i in range(14):
+                for j in range(i + 1, 14):
+                    entries[i, j] = entries[j, i] = angle_between(normals[i], normals[j])
+            assert check_constraints(planes, ConstraintMatrix(entries), 0.0)
+        # only the upper triangle is compared; the lower may lag by 1e-7
+        lagged = entries + np.tril(np.full_like(entries, 1e-7), k=-1)
+        assert check_constraints(planes, ConstraintMatrix(lagged), 0.0)
+        entries[11, 13] += 1.0
+        entries[13, 11] += 1.0
+        assert check_constraints(planes, ConstraintMatrix(entries), 1.5)
+        assert not check_constraints(planes, ConstraintMatrix(entries), 0.5)
 
 
 class TestHypothesize:

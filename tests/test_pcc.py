@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import planar_cloud
-from mme.geometry import DegenerateInput, PointCloud, as_unit
+from mme.geometry import DegenerateInput, PointCloud, angle_between, as_unit
 from mme.normals import NormalEstimationConfig
 from mme.pcc import (
     EMPTY,
@@ -37,6 +37,7 @@ from oracle import (
     random_search_instance,
     reference_kmeans,
     reference_lloyd,
+    reference_merge,
     remap_labels,
 )
 
@@ -319,6 +320,27 @@ class TestMerge:
         assert np.array_equal(once.assignment, twice.assignment)
 
 
+    def test_matches_the_pairwise_scan(self, rng):
+        # 14 clusters whose normals lie 4-9 deg apart along an arc, in
+        # shuffled order: merges chain and shift the means, so the result
+        # holds only if each merge takes the first close pair in row-major
+        # order, as the one-pair-at-a-time scan does
+        sizes = rng.integers(5, 15, size=14)
+        theta = np.radians(np.cumsum(rng.uniform(4, 9, size=14)))[rng.permutation(14)]
+        nrm = np.repeat(np.stack([np.cos(theta), np.sin(theta), np.zeros(14)], axis=1),
+                        sizes, axis=0)
+        nrm[:, 2] += rng.normal(scale=0.02, size=len(nrm))
+        nrm /= np.linalg.norm(nrm, axis=1, keepdims=True)
+        cloud = PointCloud(rng.normal(size=nrm.shape), normals=nrm)
+        groups = np.split(np.arange(len(cloud)), np.cumsum(sizes)[:-1])
+        clustering = tiny_clustering(cloud, groups)
+        merged = merge_similar_clusters(clustering, PccConfig(), cloud)
+        expected = reference_merge(groups, [c.mean_normal for c in clustering.clusters],
+                                   nrm, PccConfig().merge_angle_deg)
+        assert [c.point_indices.tolist() for c in merged.clusters] == \
+            [g.tolist() for g in expected]
+
+
 class TestSimilarityReduction:
     def test_reference_example(self):
         cfg = PccConfig(similarity_threshold_deg=5.0)
@@ -339,6 +361,15 @@ class TestSimilarityReduction:
         assert mat.entries[0, 1] == pytest.approx(30.0, abs=1e-9)
         assert mat.entries[1, 0] == mat.entries[0, 1]
         assert mat.entries[0, 0] == 0.0
+
+    def test_object_matrix_is_angle_between(self, rng):
+        cloud = PointCloud(rng.normal(size=(13, 3)), normals=rng.normal(size=(13, 3)))
+        clustering = tiny_clustering(cloud, [[i] for i in range(13)])
+        mat = object_matrix(clustering)
+        means = [c.mean_normal for c in clustering.clusters]
+        expected = [[angle_between(means[i], means[j]) if i != j else 0.0 for j in range(13)]
+                    for i in range(13)]
+        assert np.array_equal(mat.entries, expected)
 
 
 class TestTreeSearch:
