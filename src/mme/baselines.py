@@ -3,89 +3,90 @@
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import DegenerateInput, PlaneModel, PointCloud, fit_plane_lsq
-from .mcransac import McRansacConfig, RESAMPLE_ATTEMPTS
+from .geometry import DegenerateInput, PlaneModel, PointCloud, fit_plane_lsq, sample_plane
 
-#: default inlier distance threshold in scene units
-DEFAULT_DISTANCE_THRESHOLD = 1e-3
+
+@dataclass(frozen=True)
+class RansacConfig:
+    """Plain RANSAC (Fischler & Bolles 1981); distance_threshold is the
+    inlier distance in scene units."""
+
+    iterations: int = 50
+    sample_size: int = 3
+    distance_threshold: float = 1e-3
+    rng_seed: int = 0
+
+    def __post_init__(self):
+        if self.iterations < 1:
+            raise ValueError("iterations must be >= 1")
+        if self.sample_size < 3:
+            raise ValueError("sample_size must be >= 3")
+        if not self.distance_threshold > 0.0:
+            raise ValueError("distance_threshold must be positive")
+        if self.rng_seed < 0:
+            raise ValueError("rng_seed must be >= 0")
 
 
 def _ransac_single(
     point_indices: np.ndarray,
     cloud: PointCloud,
-    cfg: McRansacConfig,
+    cfg: RansacConfig,
     rng: np.random.Generator,
-    distance_threshold: float,
 ) -> PlaneModel:
     """Plain RANSAC over one index set: best minimal-sample model by inlier
     count, then a total-least-squares refit on its inliers."""
     idx = np.asarray(point_indices, dtype=int)
-    if idx.shape[0] < cfg.sample_size:
-        raise DegenerateInput(f"{idx.shape[0]} points cannot seed a sample of {cfg.sample_size}")
     pts = cloud.points[idx]
-    best_count = -1
     best_inliers = None
     for _ in range(cfg.iterations):
-        plane = None
-        for _ in range(RESAMPLE_ATTEMPTS):
-            pick = np.sort(rng.choice(idx.shape[0], size=cfg.sample_size, replace=False))
-            try:
-                plane = fit_plane_lsq(pts[pick], indices=idx[pick])
-                break
-            except DegenerateInput:
-                continue
-        if plane is None:
+        try:
+            plane = sample_plane(cloud.points, idx, cfg.sample_size, rng)
+        except DegenerateInput:
+            if idx.shape[0] < cfg.sample_size:
+                raise
             continue
-        mask = plane.distances(pts) <= distance_threshold
-        count = int(mask.sum())
-        if count > best_count:
-            best_count = count
-            best_inliers = idx[mask]
+        inliers = idx[plane.distances(pts) <= cfg.distance_threshold]
+        if best_inliers is None or inliers.shape[0] > best_inliers.shape[0]:
+            best_inliers = inliers
     if best_inliers is None or best_inliers.shape[0] < 3:
         raise DegenerateInput("no usable RANSAC hypothesis found")
     return fit_plane_lsq(cloud.points[best_inliers], indices=best_inliers)
 
 
-def clustered_ransac(
-    groups,
-    cloud: PointCloud,
-    cfg: McRansacConfig | None = None,
-    distance_threshold: float | None = None,
-) -> list[PlaneModel]:
+def clustered_ransac(groups, cloud: PointCloud,
+                     cfg: RansacConfig | None = None) -> list[PlaneModel]:
     """Independent RANSAC per pre-clustered group; no constraints involved."""
     if cfg is None:
-        cfg = McRansacConfig()
-    thr = DEFAULT_DISTANCE_THRESHOLD if distance_threshold is None else distance_threshold
+        cfg = RansacConfig()
     seeds = np.random.SeedSequence(cfg.rng_seed).spawn(len(groups))
     return [
-        _ransac_single(g, cloud, cfg, np.random.default_rng(seeds[gi]), thr)
+        _ransac_single(g, cloud, cfg, np.random.default_rng(seeds[gi]))
         for gi, g in enumerate(groups)
     ]
 
 
 def iterative_ransac(
     cloud: PointCloud,
-    cfg: McRansacConfig | None = None,
-    distance_threshold: float | None = None,
+    cfg: RansacConfig | None = None,
     min_inlier_fraction: float = 0.05,
 ) -> list[PlaneModel]:
     """Greedy sequential extraction: fit the dominant plane, remove its
     inliers, repeat until a plane explains too little of the cloud."""
     if cfg is None:
-        cfg = McRansacConfig()
-    thr = DEFAULT_DISTANCE_THRESHOLD if distance_threshold is None else distance_threshold
+        cfg = RansacConfig()
     n = len(cloud)
     min_count = max(math.ceil(min_inlier_fraction * n), cfg.sample_size)
     seq = np.random.SeedSequence(cfg.rng_seed)
     remaining = np.arange(n)
     planes: list[PlaneModel] = []
-    while remaining.shape[0] >= max(cfg.sample_size, 3):
+    while remaining.shape[0] >= cfg.sample_size:
         rng = np.random.default_rng(seq.spawn(1)[0])
         try:
-            plane = _ransac_single(remaining, cloud, cfg, rng, thr)
+            plane = _ransac_single(remaining, cloud, cfg, rng)
         except DegenerateInput:
             break
         if plane.inliers.shape[0] < min_count:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .baselines import DEFAULT_DISTANCE_THRESHOLD, clustered_ransac, iterative_ransac
+from .baselines import RansacConfig, clustered_ransac, iterative_ransac
 from .geometry import (
     DegenerateInput,
     angle_between,
@@ -28,6 +28,7 @@ from .mcransac import (
     McRansacConfig,
     NoSatisfyingFit,
     check_constraints,
+    constraint_deviations,
     restrict_constraints,
     run_mcransac,
 )
@@ -65,10 +66,7 @@ def _bench_sample_size(plane_count: int) -> int:
     return min(BENCH_SAMPLE_BASE + pairs, BENCH_SAMPLE_CAP)
 
 #: sweep configuration for the unconstrained baselines
-BENCH_BASELINE = McRansacConfig(iterations=3, sample_size=3)
-
-#: inlier distance threshold for the baseline fits, scene units
-BENCH_DISTANCE_THRESHOLD = DEFAULT_DISTANCE_THRESHOLD
+BENCH_BASELINE = RansacConfig(iterations=3, sample_size=3)
 
 #: minimum cloud fraction a plane must explain to keep iterating
 BENCH_ITERATIVE_MIN_FRACTION = 0.01
@@ -99,31 +97,26 @@ class CellResult:
     report: FitReport
 
 
-def constraint_error_from_angles(measured_deg, model_deg) -> tuple[float, float]:
-    """Mean and population std of |measured - model| over angle pairs.
+def _mean_std(devs: np.ndarray) -> tuple[float, float]:
+    """Mean and population std; no pairs (a single plane) is (0, 0)."""
+    if not devs.size:
+        return 0.0, 0.0
+    return float(devs.mean()), float(devs.std())
 
-    Deviations use the same folding convention as the constraint checks.
-    An empty pair list (a single plane) is (0, 0) by convention.
-    """
+
+def constraint_error_from_angles(measured_deg, model_deg) -> tuple[float, float]:
+    """Mean and population std of |measured - model| over angle pairs,
+    with the same folding convention as the constraint checks."""
     measured = np.asarray(measured_deg, dtype=float)
     model = np.asarray(model_deg, dtype=float)
     if measured.shape != model.shape:
         raise ValueError("need one model angle per measured angle")
-    if not measured.size:
-        return 0.0, 0.0
-    devs = angle_deviation(measured, model)
-    return float(devs.mean()), float(devs.std())
+    return _mean_std(angle_deviation(measured, model))
 
 
 def constraint_error(planes, constraints: ConstraintMatrix, reference_directions=None) -> tuple[float, float]:
     """Mean/std angular deviation of a plane set from its constraint matrix."""
-    if len(planes) != constraints.size:
-        raise ValueError("need exactly one plane per constraint row")
-    if len(planes) < 2:
-        return 0.0, 0.0
-    normals = oriented_normals(np.array([p.normal for p in planes]), reference_directions)
-    return constraint_error_from_angles(pair_angles(normals),
-                                        constraints.entries[upper_pairs(len(planes))])
+    return _mean_std(constraint_deviations(planes, constraints, reference_directions))
 
 
 def _derive_seed(*parts) -> int:
@@ -238,8 +231,7 @@ def _run_clustered(cloud, obj, view, method_seed: int) -> FitReport:
         return _failure("degenerate")
     cfg = replace(BENCH_BASELINE, rng_seed=_derive_seed(method_seed, "ransac"))
     try:
-        planes = clustered_ransac(stage.groups, stage.cloud, cfg,
-                                  BENCH_DISTANCE_THRESHOLD)
+        planes = clustered_ransac(stage.groups, stage.cloud, cfg)
     except DegenerateInput:
         return _failure("degenerate", plane_count=len(stage.groups))
     gt = face_normals_in_view(obj, view)
@@ -253,8 +245,7 @@ def _run_clustered(cloud, obj, view, method_seed: int) -> FitReport:
 def _run_iterative(cloud, obj, view, method_seed: int) -> FitReport:
     t0 = time.perf_counter()
     cfg = replace(BENCH_BASELINE, rng_seed=method_seed)
-    planes = iterative_ransac(cloud, cfg, BENCH_DISTANCE_THRESHOLD,
-                              min_inlier_fraction=BENCH_ITERATIVE_MIN_FRACTION)
+    planes = iterative_ransac(cloud, cfg, min_inlier_fraction=BENCH_ITERATIVE_MIN_FRACTION)
     if not planes:
         return _failure("degenerate")
     gt = face_normals_in_view(obj, view)

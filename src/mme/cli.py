@@ -11,15 +11,13 @@ import argparse
 import logging
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .baselines import DEFAULT_DISTANCE_THRESHOLD, clustered_ransac, iterative_ransac
+from .baselines import RansacConfig, clustered_ransac, iterative_ransac
 from .bench import (
-    BENCH_BASELINE,
     METHODS,
     constraint_error,
     label_groups,
@@ -60,11 +58,11 @@ class CliError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits with 2 on bad usage; we reserve 2 for fit failures."""
+    """argparse exits with 2 and a usage block on bad usage; we reserve 2
+    for fit failures and report bad input as one line with exit 1."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
+        print(f"error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_INVALID)
 
     def config_values(self, path: str) -> dict:
@@ -182,10 +180,9 @@ def _cmd_fit(args) -> int:
                        sample_size=args.sample_size,
                        constraint_tolerance_deg=args.tolerance, rng_seed=seed)
     else:
-        cfg = _checked(replace, BENCH_BASELINE, iterations=args.iterations,
-                       sample_size=args.sample_size, rng_seed=seed)
-        if not args.distance_threshold > 0:
-            raise CliError("distance_threshold must be positive")
+        cfg = _checked(RansacConfig, iterations=args.iterations,
+                       sample_size=args.sample_size,
+                       distance_threshold=args.distance_threshold, rng_seed=seed)
     cloud = _load_cloud(args.cloud)
     constraints = _load_constraints(args.constraints)
 
@@ -214,9 +211,9 @@ def _cmd_fit(args) -> int:
         groups, _ = label_groups(cloud, cfg.sample_size)
         if not groups:
             raise CliError("no labelled group is large enough to fit")
-        planes = clustered_ransac(groups, cloud, cfg, args.distance_threshold)
+        planes = clustered_ransac(groups, cloud, cfg)
     else:  # iterative
-        planes = iterative_ransac(cloud, cfg, args.distance_threshold)
+        planes = iterative_ransac(cloud, cfg)
         if not planes:
             print("no plane found", file=sys.stderr)
             return EXIT_NO_FIT
@@ -289,7 +286,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, _Parser]]:
                    help="cluster-assignment angle tolerance (degrees)")
     p.add_argument("--k-neighbors", dest="k_neighbors", type=int, default=7)
     p.add_argument("--distance-threshold", dest="distance_threshold", type=float,
-                   default=DEFAULT_DISTANCE_THRESHOLD)
+                   default=RansacConfig.distance_threshold)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--config", default=None, help="key=value config file")
     p.set_defaults(func=_cmd_fit)

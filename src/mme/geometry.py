@@ -11,6 +11,9 @@ from functools import cache
 
 import numpy as np
 
+#: degenerate minimal samples redrawn before a draw gives up
+RESAMPLE_ATTEMPTS = 10
+
 
 class DegenerateInput(ValueError):
     """Input geometry cannot support the requested operation."""
@@ -112,7 +115,6 @@ class PlaneModel:
 
     normal: np.ndarray
     offset: float
-    centroid: np.ndarray
     inliers: np.ndarray
 
     def __post_init__(self):
@@ -152,7 +154,24 @@ def fit_plane_lsq(points, indices=None) -> PlaneModel:
         inliers = np.arange(pts.shape[0])
     else:
         inliers = np.asarray(indices, dtype=int)
-    return PlaneModel(normal, offset, centroid, inliers)
+    return PlaneModel(normal, offset, inliers)
+
+
+def sample_plane(points, indices, sample_size: int, rng) -> PlaneModel:
+    """Plane through sample_size of the given point indices, drawn without
+    replacement and fitted in ascending order; a degenerate draw is redrawn
+    up to RESAMPLE_ATTEMPTS times before DegenerateInput is raised.  The
+    draws consumed and the sample order are part of every seeded output.
+    """
+    if len(indices) < sample_size:
+        raise DegenerateInput(f"{len(indices)} points cannot seed a sample of {sample_size}")
+    for _ in range(RESAMPLE_ATTEMPTS):
+        pick = np.sort(rng.choice(indices, size=sample_size, replace=False))
+        try:
+            return fit_plane_lsq(points[pick], indices=pick)
+        except DegenerateInput:
+            continue
+    raise DegenerateInput("could not draw a non-degenerate sample")
 
 
 @dataclass(eq=False)

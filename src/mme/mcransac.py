@@ -21,12 +21,10 @@ from .geometry import (
     fit_plane_lsq,
     oriented_normals,
     pair_angles,
+    sample_plane,
     upper_pairs,
 )
 from .pcc import ConstraintMatrix, PccSolution
-
-#: degenerate minimal samples redrawn before a group's draw gives up
-RESAMPLE_ATTEMPTS = 10
 
 
 class NoSatisfyingFit(RuntimeError):
@@ -54,10 +52,9 @@ class McRansacConfig:
 
 @dataclass(eq=False)
 class MultiPlaneFit:
-    """One plane per group; satisfied means all constraints held."""
+    """One plane per group, every pairwise constraint held."""
 
     planes: list[PlaneModel]
-    satisfied: bool
     total_inliers: int
     mean_residual: float
     iteration: int = -1
@@ -75,13 +72,9 @@ def restrict_constraints(model: ConstraintMatrix, solution: PccSolution) -> Cons
     return ConstraintMatrix(sub, label=model.label)
 
 
-def check_constraints(
-    planes,
-    constraints: ConstraintMatrix,
-    tolerance_deg: float,
-    reference_directions=None,
-) -> bool:
-    """True iff every pairwise plane angle matches the model within tolerance.
+def constraint_deviations(planes, constraints: ConstraintMatrix,
+                          reference_directions=None) -> np.ndarray:
+    """|measured - model| angle of every plane pair i < j, in degrees.
 
     Entries <= 90 are compared orientation-free; obtuse entries compare the
     raw angle, so reference_directions (e.g. per-group mean normals) should
@@ -91,34 +84,27 @@ def check_constraints(
         raise ValueError("need exactly one plane per constraint row")
     normals = oriented_normals(np.array([p.normal for p in planes]), reference_directions)
     model = constraints.entries[upper_pairs(len(planes))]
-    return not np.count_nonzero(angle_deviation(pair_angles(normals), model) > tolerance_deg)
+    return angle_deviation(pair_angles(normals), model)
+
+
+def check_constraints(
+    planes,
+    constraints: ConstraintMatrix,
+    tolerance_deg: float,
+    reference_directions=None,
+) -> bool:
+    """True iff every pairwise plane angle matches the model within tolerance."""
+    devs = constraint_deviations(planes, constraints, reference_directions)
+    return not np.count_nonzero(devs > tolerance_deg)
 
 
 def hypothesize(groups, cloud: PointCloud, cfg: McRansacConfig, rng=None) -> list[PlaneModel]:
-    """One minimal-sample plane per group.
-
-    Draws cfg.sample_size points without replacement from each group and
-    fits; a degenerate draw is retried a few times before giving up.
-    """
+    """One minimal-sample plane per group, drawn by sample_plane in group
+    order from one stream."""
     if rng is None:
         rng = np.random.default_rng(cfg.rng_seed)
-    planes = []
-    for g in groups:
-        g = np.asarray(g, dtype=int)
-        if g.shape[0] < cfg.sample_size:
-            raise DegenerateInput(
-                f"group of {g.shape[0]} points cannot seed a sample of {cfg.sample_size}"
-            )
-        for _ in range(RESAMPLE_ATTEMPTS):
-            pick = np.sort(rng.choice(g, size=cfg.sample_size, replace=False))
-            try:
-                planes.append(fit_plane_lsq(cloud.points[pick], indices=pick))
-                break
-            except DegenerateInput:
-                continue
-        else:
-            raise DegenerateInput("could not draw a non-degenerate sample")
-    return planes
+    return [sample_plane(cloud.points, np.asarray(g, dtype=int), cfg.sample_size, rng)
+            for g in groups]
 
 
 def grow_inliers(
@@ -162,7 +148,7 @@ def grow_inliers(
     residuals = np.concatenate([
         planes[gi].distances(cloud.points[ix]) for gi, ix in enumerate(inliers)
     ])
-    return MultiPlaneFit(planes, True, total, float(residuals.mean()))
+    return MultiPlaneFit(planes, total, float(residuals.mean()))
 
 
 def run_mcransac(

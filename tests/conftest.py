@@ -51,6 +51,29 @@ def two_plane_cloud(rng, n_per=80, angle_deg=90.0, jitter=0.0):
     return cloud, [n0, n1]
 
 
+def redraw_scene(rng):
+    """A cloud whose index groups make minimal-sample draws redraw.
+
+    Returns (cloud, groups): ``mixed`` is 27 collinear points plus 3 off
+    the line on one plane, so about 7 in 10 triples are degenerate;
+    ``planar`` is 60 points of another plane; ``line`` is 20 collinear
+    points, on which every draw is degenerate.  The points are shuffled, so
+    each group is an ascending but scattered index set.
+    """
+    mixed = np.vstack([np.outer(np.linspace(0.0, 1.0, 27), [1.0, 1.0, 0.0]),
+                       np.c_[rng.uniform(-1.0, 1.0, size=(3, 2)), np.zeros(3)]])
+    planar = planar_cloud(rng, 60, [1.0, 0.0, 0.0], offset=2.0)
+    line = np.outer(np.linspace(0.0, 1.0, 20), [0.0, 1.0, 1.0]) + [3.0, 0.0, 0.0]
+    parts = [mixed, planar, line]
+    perm = rng.permutation(sum(len(p) for p in parts))
+    points = np.empty((len(perm), 3))
+    points[perm] = np.vstack(parts)
+    bounds = np.cumsum([0] + [len(p) for p in parts])
+    groups = {name: np.sort(perm[lo:hi])
+              for name, lo, hi in zip(("mixed", "planar", "line"), bounds, bounds[1:])}
+    return PointCloud(points), groups
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

@@ -1,7 +1,8 @@
 """Brute-force reference implementations used to cross-check the library.
 
 Kept free of any import from the package's search internals so the two
-sides of an equivalence test cannot share a bug.
+sides of an equivalence test cannot share a bug.  The RANSAC draw loops
+share only the total-least-squares plane fit with the library.
 """
 
 from __future__ import annotations
@@ -10,6 +11,8 @@ import itertools
 import math
 
 import numpy as np
+
+from mme.geometry import DegenerateInput, fit_plane_lsq
 
 
 def enumerate_assignments(model_entries, observed_entries, candidates, sizes, tolerance):
@@ -187,3 +190,93 @@ def reference_merge(groups, means, normals, merge_angle_deg):
             if changed:
                 break
     return groups
+
+
+#: the draw loops' degenerate-sample redraw budget
+RESAMPLE_ATTEMPTS = 10
+
+
+def reference_hypothesize(groups, points, sample_size, rng):
+    """The constrained fit's per-group draw as two hand-written loops: a draw
+    of sample_size group members, sorted, redrawn while degenerate."""
+    planes = []
+    for g in groups:
+        g = np.asarray(g, dtype=int)
+        if g.shape[0] < sample_size:
+            raise DegenerateInput(
+                f"group of {g.shape[0]} points cannot seed a sample of {sample_size}"
+            )
+        for _ in range(RESAMPLE_ATTEMPTS):
+            pick = np.sort(rng.choice(g, size=sample_size, replace=False))
+            try:
+                planes.append(fit_plane_lsq(points[pick], indices=pick))
+                break
+            except DegenerateInput:
+                continue
+        else:
+            raise DegenerateInput("could not draw a non-degenerate sample")
+    return planes
+
+
+def reference_ransac_single(point_indices, points, iterations, sample_size,
+                            distance_threshold, rng):
+    """Plain RANSAC over one index set with its own draw loop: sorted
+    positions into the index set, redrawn while degenerate, an iteration
+    skipped when every redraw is; the best count wins, then a refit."""
+    idx = np.asarray(point_indices, dtype=int)
+    if idx.shape[0] < sample_size:
+        raise DegenerateInput(f"{idx.shape[0]} points cannot seed a sample of {sample_size}")
+    pts = points[idx]
+    best_count = -1
+    best_inliers = None
+    for _ in range(iterations):
+        plane = None
+        for _ in range(RESAMPLE_ATTEMPTS):
+            pick = np.sort(rng.choice(idx.shape[0], size=sample_size, replace=False))
+            try:
+                plane = fit_plane_lsq(pts[pick], indices=idx[pick])
+                break
+            except DegenerateInput:
+                continue
+        if plane is None:
+            continue
+        mask = plane.distances(pts) <= distance_threshold
+        count = int(mask.sum())
+        if count > best_count:
+            best_count = count
+            best_inliers = idx[mask]
+    if best_inliers is None or best_inliers.shape[0] < 3:
+        raise DegenerateInput("no usable RANSAC hypothesis found")
+    return fit_plane_lsq(points[best_inliers], indices=best_inliers)
+
+
+def reference_clustered(groups, points, iterations, sample_size, distance_threshold, seed):
+    """One reference RANSAC per group, each on its own spawned stream."""
+    seeds = np.random.SeedSequence(seed).spawn(len(groups))
+    return [
+        reference_ransac_single(g, points, iterations, sample_size, distance_threshold,
+                                np.random.default_rng(seeds[gi]))
+        for gi, g in enumerate(groups)
+    ]
+
+
+def reference_iterative(points, iterations, sample_size, distance_threshold, seed,
+                        min_inlier_fraction):
+    """Greedy extraction with the reference RANSAC, one spawned stream per plane."""
+    n = points.shape[0]
+    min_count = max(math.ceil(min_inlier_fraction * n), sample_size)
+    seq = np.random.SeedSequence(seed)
+    remaining = np.arange(n)
+    planes = []
+    while remaining.shape[0] >= max(sample_size, 3):
+        rng = np.random.default_rng(seq.spawn(1)[0])
+        try:
+            plane = reference_ransac_single(remaining, points, iterations, sample_size,
+                                            distance_threshold, rng)
+        except DegenerateInput:
+            break
+        if plane.inliers.shape[0] < min_count:
+            break
+        planes.append(plane)
+        remaining = np.setdiff1d(remaining, plane.inliers, assume_unique=True)
+    return planes

@@ -265,14 +265,15 @@ def test_criterion_08_determinism(tmp_path, capsys):
            for p, q in zip(fits[0].planes, fits[1].planes)):
         problems.append("constrained fitting")
 
-    from mme.baselines import clustered_ransac, iterative_ransac
+    from mme.baselines import RansacConfig, clustered_ransac, iterative_ransac
     groups = solution_groups(pcc[0][0], pcc[0][1])
     base = [clustered_ransac(groups, normals[0],
-                             McRansacConfig(iterations=4, rng_seed=4)) for _ in range(2)]
+                             RansacConfig(iterations=4, rng_seed=4)) for _ in range(2)]
     if any(p.normal.tobytes() != q.normal.tobytes() for p, q in zip(*base)):
         problems.append("clustered baseline")
-    its = [iterative_ransac(normals[0], McRansacConfig(iterations=4, rng_seed=4),
-                            0.02) for _ in range(2)]
+    its = [iterative_ransac(normals[0], RansacConfig(iterations=4, rng_seed=4,
+                                                     distance_threshold=0.02))
+           for _ in range(2)]
     if len(its[0]) != len(its[1]) or any(
             p.normal.tobytes() != q.normal.tobytes() for p, q in zip(*its)):
         problems.append("iterative baseline")

@@ -269,6 +269,16 @@ class TestBadArguments:
                    "-o", str(tmp_path / "x.xyz"))
         self.expect_one_error_line(code, capsys)
 
+    @pytest.mark.parametrize("argv", [
+        ("synth", "--object", "teapot", "-o", "x.xyz"),  # invalid choice
+        ("fit", "--cloud", "a", "--constraints", "b", "--iterations", "x"),  # malformed int
+        ("synth", "--object", "cube"),  # missing required flag
+    ])
+    def test_argparse_errors(self, capsys, argv):
+        with pytest.raises(SystemExit) as err:
+            run(*argv)
+        self.expect_one_error_line(err.value.code, capsys)
+
 
 class TestParser:
     def test_version(self, capsys):

@@ -172,11 +172,10 @@ class TestBasicsAndValidation:
 
     def test_plane_model_requires_unit_normal(self):
         with pytest.raises(DegenerateInput):
-            PlaneModel(np.array([0.0, 0.0, 2.0]), 0.0, np.zeros(3), np.arange(3))
+            PlaneModel(np.array([0.0, 0.0, 2.0]), 0.0, np.arange(3))
 
     def test_plane_distances(self):
-        plane = PlaneModel(np.array([0.0, 0.0, 1.0]), 2.0, np.array([0, 0, 2.0]),
-                           np.arange(1))
+        plane = PlaneModel(np.array([0.0, 0.0, 1.0]), 2.0, np.arange(1))
         d = plane.distances([[0, 0, 5.0], [1, 1, 2.0], [0, 0, -1.0]])
         assert np.allclose(d, [3.0, 0.0, 3.0])
 

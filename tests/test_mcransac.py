@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import planar_cloud, two_plane_cloud
+from conftest import planar_cloud, redraw_scene, two_plane_cloud
 from mme.geometry import DegenerateInput, PlaneModel, PointCloud, angle_between, fit_plane_lsq
 from mme.mcransac import (
     McRansacConfig,
@@ -17,6 +17,7 @@ from mme.mcransac import (
     run_mcransac,
 )
 from mme.pcc import EMPTY, ConstraintMatrix, PccSolution
+from oracle import reference_hypothesize
 
 RIGHT_ANGLE = ConstraintMatrix(np.array([[0.0, 90.0], [90.0, 0.0]]))
 
@@ -88,7 +89,7 @@ class TestCheckConstraints:
         for _ in range(10):
             normals = rng.normal(size=(14, 3))
             normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-            planes = [PlaneModel(v, 0.0, np.zeros(3), np.arange(3)) for v in normals]
+            planes = [PlaneModel(v, 0.0, np.arange(3)) for v in normals]
             entries = np.zeros((14, 14))
             for i in range(14):
                 for j in range(i + 1, 14):
@@ -128,6 +129,47 @@ class TestHypothesize:
             hypothesize([np.arange(20)], cloud, McRansacConfig(sample_size=3))
 
 
+class TestHypothesizeOracle:
+    """hypothesize against the hand-written draw loop of tests/oracle.py:
+    the same samples, planes bit for bit, and the same stream consumed."""
+
+    @staticmethod
+    def draw(fn, *args):
+        try:
+            return [(p.normal.tobytes(), p.offset, p.inliers.tobytes()) for p in fn(*args)]
+        except DegenerateInput as exc:
+            return str(exc)
+
+    def test_matches_reference_draws(self, rng):
+        cloud, groups = redraw_scene(rng)
+        order = [groups["mixed"], groups["planar"].astype(np.int32)]
+        redrawn = raised = 0
+        for seed in range(40):
+            for size in (3, 4, 5):
+                ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = self.draw(hypothesize, order, cloud, McRansacConfig(sample_size=size), ours)
+                want = self.draw(reference_hypothesize, order, cloud.points, size, theirs)
+                assert got == want
+                assert ours.bit_generator.state == theirs.bit_generator.state
+                if isinstance(got, str):
+                    raised += 1
+                    continue
+                first = np.sort(np.random.default_rng(seed).choice(order[0], size, replace=False))
+                redrawn += got[0][2] != first.tobytes()
+        # the mixed group forced redraws on some seeds and not on others
+        assert 0 < redrawn < 120 - raised
+
+    def test_all_draws_degenerate(self, rng):
+        cloud, groups = redraw_scene(rng)
+        ours, theirs = np.random.default_rng(3), np.random.default_rng(3)
+        with pytest.raises(DegenerateInput, match="non-degenerate"):
+            hypothesize([groups["planar"], groups["line"]], cloud,
+                        McRansacConfig(sample_size=3), ours)
+        with pytest.raises(DegenerateInput, match="non-degenerate"):
+            reference_hypothesize([groups["planar"], groups["line"]], cloud.points, 3, theirs)
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+
 class TestGrowInliers:
     def test_grows_to_full_groups_on_clean_data(self, rng):
         cloud, _ = two_plane_cloud(rng, n_per=60)
@@ -135,7 +177,6 @@ class TestGrowInliers:
         cfg = McRansacConfig(sample_size=3, min_eval_fraction=1.0, rng_seed=2)
         planes = hypothesize(groups, cloud, cfg)
         fit = grow_inliers(planes, groups, cloud, RIGHT_ANGLE, cfg)
-        assert fit.satisfied
         assert fit.total_inliers == len(cloud)
         assert fit.mean_residual < 1e-9
 
@@ -165,7 +206,6 @@ class TestRunMcransac:
         cfg = McRansacConfig(iterations=10, sample_size=3, min_eval_fraction=1.0,
                              rng_seed=7)
         fit = run_mcransac(groups, cloud, RIGHT_ANGLE, cfg)
-        assert fit.satisfied
         assert fit.total_inliers == len(cloud)
         assert fit.iteration >= 0
         for plane, n in zip(fit.planes, normals):
