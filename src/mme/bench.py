@@ -17,9 +17,8 @@ import numpy as np
 from .baselines import RansacConfig, clustered_ransac, iterative_ransac
 from .geometry import (
     DegenerateInput,
-    angle_between,
     angle_deviation,
-    as_unit,
+    angles,
     oriented_normals,
     pair_angles,
     upper_pairs,
@@ -33,7 +32,7 @@ from .mcransac import (
     run_mcransac,
 )
 from .normals import NormalEstimationConfig, estimate_normals
-from .pcc import ConstraintMatrix, NoSolution, PccConfig, run_pcc, solution_groups
+from .pcc import ConstraintMatrix, NoSolution, PccConfig, run_pcc
 from .synth import NoiseSpec, generate_view, face_normals_in_view, get_object, turntable_view
 
 logger = logging.getLogger(__name__)
@@ -65,14 +64,17 @@ def _bench_sample_size(plane_count: int) -> int:
     pairs = plane_count * (plane_count - 1) // 2
     return min(BENCH_SAMPLE_BASE + pairs, BENCH_SAMPLE_CAP)
 
-#: sweep configuration for the unconstrained baselines
+#: sweep configuration for the unconstrained baselines; with 3 hypotheses
+#: per plane often none lies on one face, so `iterative` finds no plane over
+#: the minimum fraction and reports `degenerate`, even at sigma = 0
 BENCH_BASELINE = RansacConfig(iterations=3, sample_size=3)
 
 #: minimum cloud fraction a plane must explain to keep iterating
 BENCH_ITERATIVE_MIN_FRACTION = 0.01
 
-#: ground-truth faces smaller than this fraction of the cloud are not
-#: handed to the clustered baseline (grazing slivers)
+#: ground-truth label groups smaller than this fraction of the cloud are
+#: not fitted by `mme fit --method clustered` (grazing slivers); the
+#: sweep's clustered baseline takes its groups from PCC instead
 MIN_GROUP_FRACTION = 0.02
 
 
@@ -124,15 +126,6 @@ def _derive_seed(*parts) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
-def _fold(angle: float) -> float:
-    return min(angle, 180.0 - angle)
-
-
-def _failure(status: str, plane_count: int = 0) -> FitReport:
-    return FitReport(float("nan"), float("nan"), plane_count, float("nan"),
-                     float("nan"), 0.0, status)
-
-
 def label_groups(cloud, sample_size: int):
     """Ground-truth label groups large enough to fit, ascending by label."""
     min_size = max(sample_size, int(np.ceil(MIN_GROUP_FRACTION * len(cloud))))
@@ -146,6 +139,30 @@ def label_groups(cloud, sample_size: int):
     return groups, kept
 
 
+def pcc_stage(cloud, model: ConstraintMatrix, normal_cfg: NormalEstimationConfig,
+              pcc_cfg: PccConfig):
+    """The clustering front end of the group-based fits.
+
+    Estimates normals, runs PCC, and returns (the cloud with normals, the
+    point groups of the mapped model planes, their reference directions,
+    the model over those planes), all in model-plane order.  A group's
+    reference direction is its cluster's stored mean normal.
+    """
+    cloud = estimate_normals(cloud, normal_cfg)
+    solution, clustering = run_pcc(cloud, model, pcc_cfg)
+    mapped = [clustering.clusters[c] for c in solution.mapping if c is not None]
+    sub = restrict_constraints(model, solution)
+    refs = np.array([c.mean_normal for c in mapped])
+    return cloud, [c.point_indices for c in mapped], refs, sub
+
+
+def _folded_angles(a, b) -> np.ndarray:
+    """Angles between the unit vectors of a and b, folded onto [0, 90] so
+    the sign of either cannot matter."""
+    ang = angles(a, b)
+    return np.minimum(ang, 180.0 - ang)
+
+
 def _face_pair_angles(planes, gt, faces) -> tuple[np.ndarray, np.ndarray]:
     """Fitted and true dihedral angles over the plane pairs that cover
     different faces; ``faces[i]`` is the face index of plane i in gt."""
@@ -156,65 +173,36 @@ def _face_pair_angles(planes, gt, faces) -> tuple[np.ndarray, np.ndarray]:
     return pair_angles(normals)[apart], pair_angles(gt[faces])[apart]
 
 
-def _orientation_error(planes, plane_gt_normals) -> float:
-    devs = [
-        _fold(angle_between(p.normal, gt))
-        for p, gt in zip(planes, plane_gt_normals)
-    ]
-    return float(np.mean(devs))
+def _majority_faces(cloud, groups) -> list[int]:
+    return [int(np.bincount(cloud.labels[g]).argmax()) for g in groups]
 
 
-class _PccStage:
-    """Shared clustering front end for the group-based methods."""
-
-    def __init__(self, cloud, obj, method_seed: int):
-        self.cloud = estimate_normals(cloud, BENCH_NORMALS)
-        solution, clustering = run_pcc(
-            self.cloud, obj.model_matrix,
-            PccConfig(constraint_tolerance_deg=BENCH_PCC_TOLERANCE_DEG,
-                      kmeans_restarts=BENCH_KMEANS_RESTARTS,
-                      rng_seed=method_seed))
-        self.solution = solution
-        self.groups = solution_groups(solution, clustering)
-        self.sub = restrict_constraints(obj.model_matrix, solution)
-        self.refs = np.array([
-            as_unit(self.cloud.normals[g].mean(axis=0)) for g in self.groups
-        ])
-        self.majority = [
-            int(np.bincount(cloud.labels[g]).argmax()) for g in self.groups
-        ]
+class _ConstraintViolation(RuntimeError):
+    """A returned fit failed the harness's own constraint re-check."""
 
 
-def _run_mme(cloud, obj, view, method_seed: int) -> FitReport:
-    t0 = time.perf_counter()
-    try:
-        stage = _PccStage(cloud, obj, method_seed)
-    except NoSolution:
-        return _failure("no_solution")
-    except DegenerateInput:
-        return _failure("degenerate")
-    cfg = replace(BENCH_MCR, sample_size=_bench_sample_size(len(stage.groups)),
+#: failure status of each exception a cell may end in
+_FAILURES = {NoSolution: "no_solution", NoSatisfyingFit: "no_fit",
+             DegenerateInput: "degenerate", _ConstraintViolation: "constraint_violation"}
+
+# The fitters below take the scene's cloud, the PCC stage (None for the
+# iterative baseline, which clusters nothing), the true face normals of the
+# view and the method seed.  Each returns (planes, the face index of each
+# plane, (gamma, rho)) or raises one of the _FAILURES.
+
+
+def _fit_mme(cloud, stage, gt, method_seed: int):
+    cloud, groups, refs, sub = stage
+    cfg = replace(BENCH_MCR, sample_size=_bench_sample_size(len(groups)),
                   rng_seed=_derive_seed(method_seed, "mcr"))
-    try:
-        fit = run_mcransac(stage.groups, stage.cloud, stage.sub, cfg,
-                           reference_directions=stage.refs)
-    except NoSatisfyingFit:
-        return _failure("no_fit", plane_count=len(stage.groups))
-    except DegenerateInput:
-        return _failure("degenerate", plane_count=len(stage.groups))
+    planes = run_mcransac(groups, cloud, sub, cfg, reference_directions=refs).planes
     # independent re-check of the returned fit against its constraints
-    if not check_constraints(fit.planes, stage.sub, cfg.constraint_tolerance_deg,
-                             stage.refs):
-        return _failure("constraint_violation", plane_count=len(stage.groups))
-    gamma, rho = constraint_error(fit.planes, stage.sub, stage.refs)
-    gt = face_normals_in_view(obj, view)
-    orientation = _orientation_error(fit.planes, gt[stage.majority])
-    runtime = (time.perf_counter() - t0) * 1e3
-    ratio = fit.total_inliers / len(cloud)
-    return FitReport(gamma, rho, len(stage.groups), ratio, orientation, runtime, "ok")
+    if not check_constraints(planes, sub, cfg.constraint_tolerance_deg, refs):
+        raise _ConstraintViolation
+    return planes, _majority_faces(cloud, groups), constraint_error(planes, sub, refs)
 
 
-def _run_clustered(cloud, obj, view, method_seed: int) -> FitReport:
+def _fit_clustered(cloud, stage, gt, method_seed: int):
     """Same clustering as the constraint-checked method, but each group is
     fitted by plain RANSAC with no inter-plane coupling.
 
@@ -222,60 +210,64 @@ def _run_clustered(cloud, obj, view, method_seed: int) -> FitReport:
     against the true dihedrals of the faces each group actually covers;
     under a correct assignment those equal the model entries.
     """
-    t0 = time.perf_counter()
-    try:
-        stage = _PccStage(cloud, obj, method_seed)
-    except NoSolution:
-        return _failure("no_solution")
-    except DegenerateInput:
-        return _failure("degenerate")
+    cloud, groups, _, _ = stage
     cfg = replace(BENCH_BASELINE, rng_seed=_derive_seed(method_seed, "ransac"))
-    try:
-        planes = clustered_ransac(stage.groups, stage.cloud, cfg)
-    except DegenerateInput:
-        return _failure("degenerate", plane_count=len(stage.groups))
-    gt = face_normals_in_view(obj, view)
-    gamma, rho = constraint_error_from_angles(*_face_pair_angles(planes, gt, stage.majority))
-    orientation = _orientation_error(planes, gt[stage.majority])
-    runtime = (time.perf_counter() - t0) * 1e3
-    ratio = sum(p.inliers.shape[0] for p in planes) / len(cloud)
-    return FitReport(gamma, rho, len(planes), ratio, orientation, runtime, "ok")
+    planes = clustered_ransac(groups, cloud, cfg)
+    faces = _majority_faces(cloud, groups)
+    return planes, faces, constraint_error_from_angles(*_face_pair_angles(planes, gt, faces))
 
 
-def _run_iterative(cloud, obj, view, method_seed: int) -> FitReport:
-    t0 = time.perf_counter()
+def _fit_iterative(cloud, stage, gt, method_seed: int):
+    """Each plane is judged against the face nearest to it up to sign."""
     cfg = replace(BENCH_BASELINE, rng_seed=method_seed)
     planes = iterative_ransac(cloud, cfg, min_inlier_fraction=BENCH_ITERATIVE_MIN_FRACTION)
     if not planes:
-        return _failure("degenerate")
-    gt = face_normals_in_view(obj, view)
-    matched = [int(np.argmin([_fold(angle_between(p.normal, g)) for g in gt])) for p in planes]
-    orientation = _orientation_error(planes, gt[matched])
-    measured, model = _face_pair_angles(planes, gt, matched)
-    if measured.size:
-        gamma, rho = constraint_error_from_angles(measured, model)
-    else:
-        gamma, rho = float("nan"), float("nan")
-    runtime = (time.perf_counter() - t0) * 1e3
-    ratio = sum(p.inliers.shape[0] for p in planes) / len(cloud)
-    return FitReport(gamma, rho, len(planes), ratio, orientation, runtime, "ok")
+        raise DegenerateInput("no plane found")
+    faces = _folded_angles(np.array([p.normal for p in planes])[:, None], gt).argmin(axis=1)
+    measured, model = _face_pair_angles(planes, gt, faces)
+    if not measured.size:
+        return planes, faces, (float("nan"), float("nan"))
+    return planes, faces, constraint_error_from_angles(measured, model)
 
 
-_RUNNERS = {"mme": _run_mme, "clustered": _run_clustered, "iterative": _run_iterative}
+_FITTERS = {"mme": _fit_mme, "clustered": _fit_clustered, "iterative": _fit_iterative}
 
 
 def run_cell(method: str, object_name: str, sigma: float, view_index: int,
              repeat: int, seed: int) -> CellResult:
     """Run one sweep cell; scene seeds ignore the method so every method
-    sees the identical scene for a given (object, sigma, view, repeat)."""
-    if method not in _RUNNERS:
+    sees the identical scene for a given (object, sigma, view, repeat).
+
+    A failed cell reports its status, the planes mapped before it failed,
+    NaN metrics and zero runtime.
+    """
+    if method not in _FITTERS:
         raise ValueError(f"unknown method {method!r}; choose from {', '.join(METHODS)}")
     obj = get_object(object_name)
     view = turntable_view(obj, view_index)
     scene_seed = _derive_seed(seed, object_name, f"{sigma:.9g}", view_index, repeat)
     method_seed = _derive_seed(seed, object_name, f"{sigma:.9g}", view_index, repeat, method)
     cloud = generate_view(obj, view, noise=NoiseSpec(0.0, sigma), rng_seed=scene_seed)
-    report = _RUNNERS[method](cloud, obj, view, method_seed)
+    gt = face_normals_in_view(obj, view)
+    t0 = time.perf_counter()
+    stage = None
+    try:
+        if method != "iterative":
+            stage = pcc_stage(cloud, obj.model_matrix, BENCH_NORMALS,
+                              PccConfig(constraint_tolerance_deg=BENCH_PCC_TOLERANCE_DEG,
+                                        kmeans_restarts=BENCH_KMEANS_RESTARTS,
+                                        rng_seed=method_seed))
+        planes, faces, (gamma, rho) = _FITTERS[method](cloud, stage, gt, method_seed)
+    except tuple(_FAILURES) as exc:
+        status = next(s for cls, s in _FAILURES.items() if isinstance(exc, cls))
+        nan = float("nan")
+        report = FitReport(nan, nan, 0 if stage is None else len(stage[1]), nan, nan, 0.0, status)
+    else:
+        normals = np.array([p.normal for p in planes])
+        orientation = float(np.mean(_folded_angles(normals, gt[faces])))
+        ratio = sum(p.inliers.shape[0] for p in planes) / len(cloud)
+        runtime = (time.perf_counter() - t0) * 1e3
+        report = FitReport(gamma, rho, len(planes), ratio, orientation, runtime, "ok")
     return CellResult(method, object_name, sigma, view_index, repeat, report)
 
 

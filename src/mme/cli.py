@@ -13,29 +13,21 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .baselines import RansacConfig, clustered_ransac, iterative_ransac
 from .bench import (
     METHODS,
     constraint_error,
     label_groups,
+    pcc_stage,
     results_csv,
     run_experiment,
     summary_csv,
 )
-from .geometry import DegenerateInput, as_unit
-from .mcransac import McRansacConfig, NoSatisfyingFit, restrict_constraints, run_mcransac
-from .normals import NormalEstimationConfig, estimate_normals
-from .pcc import (
-    NoSolution,
-    PccConfig,
-    read_constraint_matrix,
-    run_pcc,
-    solution_groups,
-    write_constraint_matrix,
-)
+from .geometry import DegenerateInput
+from .mcransac import McRansacConfig, NoSatisfyingFit, run_mcransac
+from .normals import NormalEstimationConfig
+from .pcc import NoSolution, PccConfig, read_constraint_matrix, write_constraint_matrix
 from .synth import (
     NoiseSpec,
     builtin_objects,
@@ -143,31 +135,14 @@ def _cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _load_cloud(path: str):
+def _load(read, path: str, noun: str):
+    """Read one input file; a missing or malformed file is a CliError."""
     try:
-        return read_cloud(path)
+        return read(path)
     except OSError as exc:
-        raise CliError(f"cannot read cloud {path}: {exc}") from exc
+        raise CliError(f"cannot read {noun} {path}: {exc}") from exc
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-
-
-def _load_constraints(path: str):
-    try:
-        return read_constraint_matrix(path)
-    except OSError as exc:
-        raise CliError(f"cannot read constraints {path}: {exc}") from exc
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-
-
-def _print_fit(planes, gamma: float, rho: float, inlier_count: int, total: int):
-    print(f"planes={len(planes)} gamma={gamma:.6f} rho={rho:.6f} "
-          f"inliers={inlier_count}/{total}")
-    for i, p in enumerate(planes):
-        n = p.normal
-        print(f"# plane {i}: normal=({n[0]:.9g},{n[1]:.9g},{n[2]:.9g}) "
-              f"offset={p.offset:.9g} inliers={p.inliers.shape[0]}")
 
 
 def _cmd_fit(args) -> int:
@@ -183,46 +158,44 @@ def _cmd_fit(args) -> int:
         cfg = _checked(RansacConfig, iterations=args.iterations,
                        sample_size=args.sample_size,
                        distance_threshold=args.distance_threshold, rng_seed=seed)
-    cloud = _load_cloud(args.cloud)
-    constraints = _load_constraints(args.constraints)
+    cloud = _load(read_cloud, args.cloud, "cloud")
+    constraints = _load(read_constraint_matrix, args.constraints, "constraints")
 
     if args.method == "mme":
-        cloud = estimate_normals(cloud, normal_cfg)
         try:
-            solution, clustering = run_pcc(cloud, constraints, pcc_cfg)
+            cloud, groups, refs, sub = pcc_stage(cloud, constraints, normal_cfg, pcc_cfg)
+            planes = run_mcransac(groups, cloud, sub, cfg, reference_directions=refs).planes
         except NoSolution as exc:
             print(f"no admissible assignment: {exc}", file=sys.stderr)
             return EXIT_NO_FIT
-        groups = solution_groups(solution, clustering)
-        sub = restrict_constraints(constraints, solution)
-        refs = np.array([as_unit(cloud.normals[g].mean(axis=0)) for g in groups])
-        try:
-            fit = run_mcransac(groups, cloud, sub, cfg, reference_directions=refs)
         except NoSatisfyingFit as exc:
             print(f"no constraint-satisfying fit: {exc}", file=sys.stderr)
             return EXIT_NO_FIT
-        gamma, rho = constraint_error(fit.planes, sub, refs)
-        _print_fit(fit.planes, gamma, rho, fit.total_inliers, len(cloud))
-        return EXIT_OK
-
-    if args.method == "clustered":
-        if cloud.labels is None:
-            raise CliError("clustered fitting needs a labelled cloud (label column)")
-        groups, _ = label_groups(cloud, cfg.sample_size)
-        if not groups:
-            raise CliError("no labelled group is large enough to fit")
-        planes = clustered_ransac(groups, cloud, cfg)
-    else:  # iterative
-        planes = iterative_ransac(cloud, cfg)
-        if not planes:
-            print("no plane found", file=sys.stderr)
-            return EXIT_NO_FIT
-    if len(planes) == constraints.size:
-        gamma, rho = constraint_error(planes, constraints)
+        gamma, rho = constraint_error(planes, sub, refs)
     else:
-        gamma, rho = float("nan"), float("nan")
+        if args.method == "clustered":
+            if cloud.labels is None:
+                raise CliError("clustered fitting needs a labelled cloud (label column)")
+            groups, _ = label_groups(cloud, cfg.sample_size)
+            if not groups:
+                raise CliError("no labelled group is large enough to fit")
+            planes = clustered_ransac(groups, cloud, cfg)
+        else:  # iterative
+            planes = iterative_ransac(cloud, cfg)
+            if not planes:
+                print("no plane found", file=sys.stderr)
+                return EXIT_NO_FIT
+        if len(planes) == constraints.size:
+            gamma, rho = constraint_error(planes, constraints)
+        else:
+            gamma, rho = float("nan"), float("nan")
     inliers = sum(p.inliers.shape[0] for p in planes)
-    _print_fit(planes, gamma, rho, inliers, len(cloud))
+    print(f"planes={len(planes)} gamma={gamma:.6f} rho={rho:.6f} "
+          f"inliers={inliers}/{len(cloud)}")
+    for i, p in enumerate(planes):
+        n = p.normal
+        print(f"# plane {i}: normal=({n[0]:.9g},{n[1]:.9g},{n[2]:.9g}) "
+              f"offset={p.offset:.9g} inliers={p.inliers.shape[0]}")
     return EXIT_OK
 
 

@@ -28,10 +28,21 @@ def as_unit(v) -> np.ndarray:
     return v / n
 
 
+def angles(a, b) -> np.ndarray:
+    """Angles in degrees, in [0, 180], between the unit vectors along the
+    last axis of a and b, broadcast against each other.
+
+    The dot products come from np.vecdot, which forms each one exactly as
+    np.dot does for a single pair.  A matrix product (v @ v.T) does not:
+    BLAS sums the larger products in another order, so its angles differ
+    in the last bit and every consumer's output would drift.
+    """
+    return np.degrees(np.arccos(np.vecdot(a, b).clip(-1.0, 1.0)))
+
+
 def angle_between(a, b) -> float:
     """Angle between two unit vectors, in degrees, in [0, 180]."""
-    d = float(np.clip(np.dot(a, b), -1.0, 1.0))
-    return float(np.degrees(np.arccos(d)))
+    return float(angles(a, b))
 
 
 @cache
@@ -50,16 +61,11 @@ def pair_angles(normals) -> np.ndarray:
     """Angles in degrees between rows i < j of (n, 3) unit vectors, in the
     order of upper_pairs(n).
 
-    The dot products come from np.vecdot, which forms each one exactly as
-    angle_between's np.dot does.  A v @ v.T matrix product does not: BLAS
-    sums the larger products in another order, so its angles differ in the
-    last bit and every consumer's output would drift.  The vecdot runs over
-    the full n x n grid, which for a model's few planes costs less than
-    gathering the pairs first.
+    The angles run over the full n x n grid, which for a model's few planes
+    costs less than gathering the pairs first.
     """
     v = np.asarray(normals, dtype=float).reshape(-1, 3)
-    cos = np.vecdot(v[:, None], v[None, :])[upper_pairs(v.shape[0])]
-    return np.degrees(np.arccos(cos.clip(-1.0, 1.0)))
+    return angles(v[:, None], v[None, :])[upper_pairs(v.shape[0])]
 
 
 def angle_deviation(measured_deg, model_deg):

@@ -138,11 +138,12 @@ class PccConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.cluster_surplus_fraction < 0:
+        # written so that NaN fails every check
+        if not self.cluster_surplus_fraction >= 0:
             raise ValueError("cluster_surplus_fraction must be >= 0")
-        if self.merge_angle_deg < 0 or self.similarity_threshold_deg <= 0:
+        if not (self.merge_angle_deg >= 0 and self.similarity_threshold_deg > 0):
             raise ValueError("angle thresholds must be positive")
-        if self.constraint_tolerance_deg < 0:
+        if not self.constraint_tolerance_deg >= 0:
             raise ValueError("constraint_tolerance_deg must be >= 0")
         if self.kmeans_max_iter < 1:
             raise ValueError("kmeans_max_iter must be >= 1")

@@ -31,8 +31,10 @@ class NoiseSpec:
     sigma: float = 0.0
 
     def __post_init__(self):
-        if self.sigma < 0.0:
-            raise ValueError("sigma must be >= 0")
+        if not math.isfinite(self.mu):
+            raise ValueError("mu must be finite")
+        if not 0.0 <= self.sigma < math.inf:
+            raise ValueError("sigma must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -45,9 +47,9 @@ class ViewSpec:
     distance: float = 3.0
 
     def __post_init__(self):
-        if self.distance <= 0.0:
+        if not self.distance > 0.0:
             raise ValueError("distance must be positive")
-        if abs(self.elevation_deg) >= 90.0:
+        if not abs(self.elevation_deg) < 90.0:
             raise ValueError("elevation must be strictly between -90 and 90")
 
 

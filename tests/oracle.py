@@ -163,9 +163,26 @@ def reference_kmeans(features, k, valid, rng_seed, restarts, max_iter):
     return remap_labels(full), reseeds
 
 
-def _pair_angle(a, b) -> float:
+def angle_between(a, b) -> float:
+    """The angle between two unit vectors in degrees, one np.dot at a time."""
     d = float(np.clip(np.dot(a, b), -1.0, 1.0))
     return float(np.degrees(np.arccos(d)))
+
+
+def _fold(angle: float) -> float:
+    return min(angle, 180.0 - angle)
+
+
+def orientation_error(normals, face_normals) -> float:
+    """Mean folded angle between each fitted normal and its face's normal."""
+    return float(np.mean([_fold(angle_between(n, g)) for n, g in zip(normals, face_normals)]))
+
+
+def nearest_faces(normals, face_normals) -> list[int]:
+    """Per fitted normal, the face whose normal is closest up to sign; the
+    first face wins a tie."""
+    return [int(np.argmin([_fold(angle_between(n, g)) for g in face_normals]))
+            for n in normals]
 
 
 def reference_merge(groups, means, normals, merge_angle_deg):
@@ -180,7 +197,7 @@ def reference_merge(groups, means, normals, merge_angle_deg):
         changed = False
         for i in range(len(groups)):
             for j in range(i + 1, len(groups)):
-                if _pair_angle(means[i], means[j]) < merge_angle_deg:
+                if angle_between(means[i], means[j]) < merge_angle_deg:
                     groups[i] = np.sort(np.concatenate([groups[i], groups[j]]))
                     mean = normals[groups[i]].mean(axis=0)
                     means[i] = mean / float(np.linalg.norm(mean))

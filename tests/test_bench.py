@@ -7,7 +7,9 @@ import math
 import numpy as np
 import pytest
 
+import oracle
 from conftest import planar_cloud
+from mme import bench
 from mme.bench import (
     CSV_HEADER,
     METHODS,
@@ -18,13 +20,17 @@ from mme.bench import (
     constraint_error,
     constraint_error_from_angles,
     label_groups,
+    pcc_stage,
     results_csv,
     run_cell,
     summarize,
     summary_csv,
 )
-from mme.geometry import PointCloud, fit_plane_lsq
-from mme.pcc import ConstraintMatrix
+from mme.geometry import DegenerateInput, PointCloud, as_unit, fit_plane_lsq
+from mme.mcransac import NoSatisfyingFit, restrict_constraints
+from mme.normals import NormalEstimationConfig
+from mme.pcc import ConstraintMatrix, NoSolution, PccConfig, run_pcc, solution_groups
+from mme.synth import NoiseSpec, generate_view, get_object, turntable_view
 
 
 class TestConstraintError:
@@ -110,6 +116,118 @@ class TestRunCell:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             run_cell("magic", "cube", 0.0, 1, 0, 0)
+
+
+class TestFoldedAngles:
+    """The folded plane-to-face angles against the hand-written loops they
+    replace, bit for bit."""
+
+    def scene(self, rng):
+        gt = rng.normal(size=(6, 3))
+        gt[4] = -gt[1]  # a face pair whose folded angles tie
+        gt /= np.linalg.norm(gt, axis=1, keepdims=True)
+        normals = rng.normal(size=(40, 3))
+        normals[:6] = gt + 1e-8 * rng.normal(size=(6, 3))  # near-parallel
+        normals[6:12] = -gt  # antiparallel
+        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+        return normals, gt
+
+    def test_orientation_error(self, rng):
+        for _ in range(20):
+            normals, gt = self.scene(rng)
+            faces = rng.integers(0, len(gt), size=len(normals))
+            assert float(np.mean(bench._folded_angles(normals, gt[faces]))) == \
+                oracle.orientation_error(normals, gt[faces])
+
+    def test_nearest_face(self, rng):
+        for _ in range(20):
+            normals, gt = self.scene(rng)
+            folded = bench._folded_angles(normals[:, None], gt)
+            assert folded.argmin(axis=1).tolist() == oracle.nearest_faces(normals, gt)
+            expected = [[min(a, 180.0 - a) for a in (oracle.angle_between(n, g) for g in gt)]
+                        for n in normals]
+            assert np.array_equal(folded, expected)
+
+
+class TestPccStage:
+    def test_matches_the_hand_written_front_end(self):
+        obj = get_object("pyramid")
+        raw = generate_view(obj, turntable_view(obj, 3), noise=NoiseSpec(0.0, 4e-5),
+                            rng_seed=5)
+        normal_cfg, pcc_cfg = NormalEstimationConfig(k_neighbors=15), PccConfig(rng_seed=5)
+        cloud, groups, refs, sub = pcc_stage(raw, obj.model_matrix, normal_cfg, pcc_cfg)
+        solution, clustering = run_pcc(cloud, obj.model_matrix, pcc_cfg)
+        expected = solution_groups(solution, clustering)
+        assert len(groups) == len(expected) > 1
+        assert all(np.array_equal(g, e) for g, e in zip(groups, expected))
+        # the stored cluster mean normals, equal bit for bit to the group means
+        assert np.array_equal(refs, [as_unit(cloud.normals[g].mean(axis=0)) for g in groups])
+        assert np.array_equal(sub.entries,
+                              restrict_constraints(obj.model_matrix, solution).entries)
+        assert cloud.normals is not None and cloud.labels is raw.labels
+
+
+def _raises(exc):
+    def fail(*args, **kwargs):
+        raise exc("forced by the test")
+    return fail
+
+
+class TestFailureRows:
+    """Every failure a cell can meet gives one row: its status, the plane
+    count known when it failed, NaN metrics and zero runtime."""
+
+    CELL = ("cube", 1e-5, 1, 0, 123)
+
+    def record_mapped(self, monkeypatch) -> list[int]:
+        """Wrap run_pcc so the test sees how many model planes were mapped."""
+        seen = []
+        real = bench.run_pcc
+
+        def recording(*args, **kwargs):
+            solution, clustering = real(*args, **kwargs)
+            seen.append(sum(c is not None for c in solution.mapping))
+            return solution, clustering
+
+        monkeypatch.setattr(bench, "run_pcc", recording)
+        return seen
+
+    def failed_row(self, method, status) -> FitReport:
+        rep = run_cell(method, *self.CELL).report
+        assert rep.status == status
+        assert rep.runtime_ms == 0.0
+        assert all(math.isnan(v) for v in
+                   (rep.gamma, rep.rho, rep.inlier_ratio, rep.orientation_error))
+        return rep
+
+    @pytest.mark.parametrize("method", ["mme", "clustered"])
+    @pytest.mark.parametrize("exc, status", [(NoSolution, "no_solution"),
+                                             (DegenerateInput, "degenerate")])
+    def test_clustering_failures_have_no_planes(self, monkeypatch, method, exc, status):
+        monkeypatch.setattr(bench, "run_pcc", _raises(exc))
+        assert self.failed_row(method, status).plane_count == 0
+
+    @pytest.mark.parametrize("method, name, exc, status", [
+        ("mme", "run_mcransac", NoSatisfyingFit, "no_fit"),
+        ("mme", "run_mcransac", DegenerateInput, "degenerate"),
+        ("clustered", "clustered_ransac", DegenerateInput, "degenerate"),
+    ])
+    def test_fit_failures_count_the_mapped_planes(self, monkeypatch, method, name, exc, status):
+        seen = self.record_mapped(monkeypatch)
+        monkeypatch.setattr(bench, name, _raises(exc))
+        rep = self.failed_row(method, status)
+        assert seen and seen[0] > 0
+        assert rep.plane_count == seen[0]
+
+    def test_constraint_violation_on_re_check(self, monkeypatch):
+        seen = self.record_mapped(monkeypatch)
+        monkeypatch.setattr(bench, "check_constraints", lambda *args: False)
+        rep = self.failed_row("mme", "constraint_violation")
+        assert seen and rep.plane_count == seen[0]
+
+    def test_iterative_without_planes(self, monkeypatch):
+        monkeypatch.setattr(bench, "iterative_ransac", lambda *args, **kwargs: [])
+        assert self.failed_row("iterative", "degenerate").plane_count == 0
 
 
 def fake_results():

@@ -5,7 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from mme import bench
 from mme.cli import EXIT_INVALID, EXIT_NO_FIT, EXIT_OK, main
+from mme.pcc import NoSolution
 from mme.synth import read_cloud
 
 
@@ -110,6 +112,28 @@ class TestFit:
         code = run("fit", "--cloud", "/nonexistent.xyz", "--constraints",
                    str(constraints))
         assert code == EXIT_INVALID
+
+    @pytest.mark.parametrize("missing", ["cloud", "constraints"])
+    def test_unreadable_file_is_named(self, cube_files, tmp_path, capsys, missing):
+        files = dict(zip(("cloud", "constraints"), map(str, cube_files)))
+        files[missing] = str(tmp_path / "absent")
+        capsys.readouterr()
+        code = run("fit", "--cloud", files["cloud"], "--constraints", files["constraints"])
+        assert code == EXIT_INVALID
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: cannot read {missing} "), err
+
+    def test_no_admissible_assignment_exits_two(self, cube_files, capsys, monkeypatch):
+        # mme fit reaches the clustering through bench.pcc_stage
+        def no_solution(*args, **kwargs):
+            raise NoSolution("forced by the test")
+
+        monkeypatch.setattr(bench, "run_pcc", no_solution)
+        cloud, constraints = cube_files
+        capsys.readouterr()
+        code = run("fit", "--cloud", str(cloud), "--constraints", str(constraints))
+        assert code == EXIT_NO_FIT
+        assert capsys.readouterr().err == "no admissible assignment: forced by the test\n"
 
 
 class TestConfigAndSeed:
@@ -236,6 +260,8 @@ class TestBadArguments:
         ("--seed", "-1"),
         ("--pcc-tolerance", "-1"),
         ("--method", "iterative", "--distance-threshold", "-1"),
+        ("--tolerance", "nan"),
+        ("--pcc-tolerance", "nan"),
     ])
     def test_fit(self, cube_files, capsys, flags):
         cloud, constraints = cube_files
@@ -248,6 +274,21 @@ class TestBadArguments:
         out = tmp_path / "x.xyz"
         code = run("synth", "--object", "cube", *flags, "-o", str(out))
         self.expect_one_error_line(code, capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flags", [
+        ("synth", ("--object", "cube", "--sigma", "inf")),
+        ("synth", ("--object", "cube", "--sigma", "nan")),
+        ("bench", ("--methods", "iterative", "--sigmas", "0,nan")),
+        ("bench", ("--methods", "iterative", "--sigmas", "1e-5,inf")),
+    ])
+    def test_non_finite_sigma(self, tmp_path, capsys, command, flags):
+        out = tmp_path / "x.out"
+        capsys.readouterr()
+        code = run(command, *flags, "-o", str(out))
+        assert code == EXIT_INVALID
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "sigma" in err[0], err
         assert not out.exists()
 
     @pytest.mark.parametrize("flags", [

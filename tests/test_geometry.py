@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import oracle
 from conftest import planar_cloud, random_rotation
 from mme.geometry import (
     DegenerateInput,
@@ -12,6 +13,7 @@ from mme.geometry import (
     PointCloud,
     angle_between,
     angle_deviation,
+    angles,
     as_unit,
     canonical_normal,
     fit_plane_lsq,
@@ -123,8 +125,25 @@ class TestPairAngles:
             v = rng.normal(size=(n, 3))
             v /= np.linalg.norm(v, axis=1, keepdims=True)
             v[-1] = as_unit(v[0] + 1e-7)  # a near-parallel pair
-            expected = [angle_between(v[a], v[b]) for a, b in zip(i, j)]
+            expected = [oracle.angle_between(v[a], v[b]) for a, b in zip(i, j)]
             assert np.array_equal(pair_angles(v), expected)
+
+    def test_angle_between_matches_the_np_dot_form(self, rng):
+        v = rng.normal(size=(400, 3))
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        w = np.vstack([rng.normal(size=(200, 3)), v[:100] + 1e-8, -v[100:200]])
+        w /= np.linalg.norm(w, axis=1, keepdims=True)
+        for a, b in zip(v, w):
+            assert angle_between(a, b) == oracle.angle_between(a, b)
+        assert angle_between([1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]) == 180.0
+
+    def test_angles_broadcast(self, rng):
+        v = rng.normal(size=(5, 3))
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        grid = angles(v[:, None], v[None, :])
+        assert grid.shape == (5, 5)
+        assert np.array_equal(grid[upper_pairs(5)], pair_angles(v))
+        assert np.array_equal(angles(v, v[::-1]), np.diagonal(grid[:, ::-1]))
 
     def test_fewer_than_two_vectors(self):
         assert pair_angles([[0.0, 0.0, 1.0]]).shape == (0,)

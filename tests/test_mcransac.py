@@ -261,3 +261,8 @@ class TestRunMcransac:
             McRansacConfig(min_eval_fraction=1.5)
         with pytest.raises(ValueError):
             McRansacConfig(constraint_tolerance_deg=0.0)
+
+    @pytest.mark.parametrize("field", ["constraint_tolerance_deg", "min_eval_fraction"])
+    def test_config_rejects_nan(self, field):
+        with pytest.raises(ValueError):
+            McRansacConfig(**{field: float("nan")})

@@ -191,6 +191,12 @@ class TestKmeans:
         with pytest.raises(ValueError):
             PccConfig(similarity_threshold_deg=0.0)
 
+    @pytest.mark.parametrize("field", ["cluster_surplus_fraction", "merge_angle_deg",
+                                       "similarity_threshold_deg", "constraint_tolerance_deg"])
+    def test_config_rejects_nan(self, field):
+        with pytest.raises(ValueError):
+            PccConfig(**{field: float("nan")})
+
 
 def feature_cloud(rng, n):
     """A cloud whose normals lean on +z, so every cluster has a mean normal."""

@@ -87,6 +87,18 @@ class TestViews:
         with pytest.raises(ValueError):
             NoiseSpec(sigma=-1.0)
 
+    @pytest.mark.parametrize("kwargs", [{"sigma": float("nan")}, {"sigma": float("inf")},
+                                        {"mu": float("nan")}, {"mu": float("-inf")}])
+    def test_noise_must_be_finite(self, kwargs):
+        with pytest.raises(ValueError):
+            NoiseSpec(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [{"distance": float("nan")},
+                                        {"elevation_deg": float("nan")}])
+    def test_view_rejects_nan(self, kwargs):
+        with pytest.raises(ValueError):
+            ViewSpec(**{"view_index": 1, "azimuth_deg": 0.0, "elevation_deg": 10.0, **kwargs})
+
 
 class TestGenerateView:
     @pytest.mark.parametrize("name", OBJECT_NAMES)
