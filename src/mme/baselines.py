@@ -25,8 +25,8 @@ class RansacConfig:
             raise ValueError("iterations must be >= 1")
         if self.sample_size < 3:
             raise ValueError("sample_size must be >= 3")
-        if not self.distance_threshold > 0.0:
-            raise ValueError("distance_threshold must be positive")
+        if not 0.0 < self.distance_threshold < math.inf:
+            raise ValueError("distance_threshold must be finite and positive")
         if self.rng_seed < 0:
             raise ValueError("rng_seed must be >= 0")
 

@@ -233,19 +233,20 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, _Parser]]:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     parser.add_argument("-v", "--verbose", action="store_true", help="debug logging")
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--seed", type=int, default=None)
+    common.add_argument("--config", default=None, help="key=value config file")
 
-    p = sub.add_parser("synth", parents=[], help="generate a synthetic view",
+    p = sub.add_parser("synth", parents=[common], help="generate a synthetic view",
                        description="Generate one noisy rendered view of a built-in object.")
     p.add_argument("--object", required=True,
                    choices=sorted(o.name for o in builtin_objects()))
     p.add_argument("--view", type=int, default=1, help="turntable view index (1-based)")
     p.add_argument("--sigma", type=float, default=0.0, help="depth noise std dev")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--config", default=None, help="key=value config file")
     p.add_argument("-o", "--output", required=True, help="cloud output path")
     p.set_defaults(func=_cmd_synth)
 
-    p = sub.add_parser("fit", help="fit constrained planes to a cloud",
+    p = sub.add_parser("fit", parents=[common], help="fit constrained planes to a cloud",
                        description="Fit a plane set to a point cloud under an "
                                    "inter-plane angle constraint matrix.")
     p.add_argument("--cloud", required=True)
@@ -260,11 +261,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, _Parser]]:
     p.add_argument("--k-neighbors", dest="k_neighbors", type=int, default=7)
     p.add_argument("--distance-threshold", dest="distance_threshold", type=float,
                    default=RansacConfig.distance_threshold)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--config", default=None, help="key=value config file")
     p.set_defaults(func=_cmd_fit)
 
-    p = sub.add_parser("bench", help="run the benchmark sweep",
+    p = sub.add_parser("bench", parents=[common], help="run the benchmark sweep",
                        description="Sweep methods over objects, noise levels, "
                                    "views and repeats; write per-cell and summary CSV.")
     p.add_argument("--methods", default=None, help="comma list (default: all)")
@@ -272,8 +271,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, _Parser]]:
     p.add_argument("--sigmas", default="0,1e-5,4e-5,6e-5", help="comma list")
     p.add_argument("--views", type=int, default=8)
     p.add_argument("--repeats", type=int, default=3)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--config", default=None, help="key=value config file")
     p.add_argument("--no-timing", action="store_true",
                    help="write zero runtimes for byte-reproducible output")
     p.add_argument("-o", "--output", required=True, help="results CSV path")

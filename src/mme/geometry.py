@@ -14,6 +14,10 @@ import numpy as np
 #: degenerate minimal samples redrawn before a draw gives up
 RESAMPLE_ATTEMPTS = 10
 
+#: largest accepted coordinate magnitude; squared distances and covariance
+#: sums of coordinates this large stay far from float overflow
+MAX_COORDINATE = 1e100
+
 
 class DegenerateInput(ValueError):
     """Input geometry cannot support the requested operation."""
@@ -83,7 +87,7 @@ def angle_deviation(measured_deg, model_deg):
     return np.abs(np.where(model <= 90.0, folded, measured) - model)[()]
 
 
-def canonical_normal(n) -> np.ndarray:
+def _canonical_normal(n) -> np.ndarray:
     """Flip a unit normal so its largest-magnitude component is >= 0.
 
     Ties between components resolve to the first of x, y, z.  Gives every
@@ -154,7 +158,7 @@ def fit_plane_lsq(points, indices=None) -> PlaneModel:
     # rank < 2 over the in-plane directions means collinear or coincident
     if evals[2] <= 0.0 or evals[1] <= 1e-12 * evals[2]:
         raise DegenerateInput("points are collinear or coincident")
-    normal = canonical_normal(as_unit(evecs[:, 0]))
+    normal = _canonical_normal(as_unit(evecs[:, 0]))
     offset = float(normal @ centroid)
     if indices is None:
         inliers = np.arange(pts.shape[0])
@@ -197,8 +201,9 @@ class PointCloud:
         self.points = np.asarray(self.points, dtype=float)
         if self.points.ndim != 2 or self.points.shape[1] != 3:
             raise DegenerateInput(f"expected (N, 3) points, got {self.points.shape}")
-        if not np.all(np.isfinite(self.points)):
-            raise DegenerateInput("point coordinates must be finite")
+        if not np.all(np.abs(self.points) <= MAX_COORDINATE):  # NaN fails too
+            raise DegenerateInput(
+                f"point coordinates must be finite and at most {MAX_COORDINATE:g} in magnitude")
         n = self.points.shape[0]
         if self.normals is not None:
             self.normals = np.asarray(self.normals, dtype=float)

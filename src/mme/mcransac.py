@@ -46,8 +46,8 @@ class McRansacConfig:
             raise ValueError("sample_size must be >= 3")
         if not 0.0 < self.min_eval_fraction <= 1.0:
             raise ValueError("min_eval_fraction must be in (0, 1]")
-        if not self.constraint_tolerance_deg > 0.0:
-            raise ValueError("constraint_tolerance_deg must be positive")
+        if not 0.0 < self.constraint_tolerance_deg < math.inf:
+            raise ValueError("constraint_tolerance_deg must be finite and positive")
 
 
 @dataclass(eq=False)

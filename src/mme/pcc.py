@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import DegenerateInput, PointCloud, as_unit, pair_angles, upper_pairs
-from .normals import NormalEstimationConfig, estimate_normals
 
 logger = logging.getLogger(__name__)
 
@@ -99,13 +98,14 @@ def read_constraint_matrix(path) -> ConstraintMatrix:
     if len(rows) != n:
         raise ValueError(f"{path}: line {len(raw)}: expected {n} rows, got {len(rows)}")
     entries = np.array([r for _, r in rows], dtype=float)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(entries[i, j] - entries[j, i]) > 1e-6:
-                raise ValueError(
-                    f"{path}: line {rows[j][0]}: entry ({j + 1},{i + 1})={entries[j, i]:g} "
-                    f"does not mirror ({i + 1},{j + 1})={entries[i, j]:g}"
-                )
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, which passes here
+        asymmetric = np.argwhere(np.triu(np.abs(entries - entries.T) > 1e-6, 1))
+    if asymmetric.size:
+        i, j = asymmetric[0]  # the first pair in row-major order
+        raise ValueError(
+            f"{path}: line {rows[j][0]}: entry ({j + 1},{i + 1})={entries[j, i]:g} "
+            f"does not mirror ({i + 1},{j + 1})={entries[i, j]:g}"
+        )
     try:
         return ConstraintMatrix(entries)
     except ValueError as err:
@@ -143,8 +143,8 @@ class PccConfig:
             raise ValueError("cluster_surplus_fraction must be >= 0")
         if not (self.merge_angle_deg >= 0 and self.similarity_threshold_deg > 0):
             raise ValueError("angle thresholds must be positive")
-        if not self.constraint_tolerance_deg >= 0:
-            raise ValueError("constraint_tolerance_deg must be >= 0")
+        if not 0.0 <= self.constraint_tolerance_deg < math.inf:
+            raise ValueError("constraint_tolerance_deg must be finite and >= 0")
         if self.kmeans_max_iter < 1:
             raise ValueError("kmeans_max_iter must be >= 1")
         if self.kmeans_restarts < 1:
@@ -165,22 +165,10 @@ class Cluster:
 
 @dataclass(eq=False)
 class Clustering:
-    """Disjoint clusters over a cloud of point_count points.
-
-    The per-point assignment is not stored: ``assignment`` derives it from
-    the clusters on each access, with assignment[i] the index of the
-    cluster holding point i, or -1 when point i is unclustered.
-    """
+    """Disjoint clusters over a cloud of point_count points."""
 
     clusters: list[Cluster]
     point_count: int
-
-    @property
-    def assignment(self) -> np.ndarray:
-        out = np.full(self.point_count, -1, dtype=int)
-        for ci, c in enumerate(self.clusters):
-            out[c.point_indices] = ci
-        return out
 
 
 @dataclass(frozen=True)
@@ -315,8 +303,7 @@ def kmeans_cluster(features: np.ndarray, k: int, cfg: PccConfig, cloud: PointClo
     unassigned (-1).  With kmeans_restarts > 1 the run with the smallest
     within-cluster squared error wins (ties keep the earliest run).
     """
-    valid = cloud.normal_ok if cloud.normal_ok is not None else np.ones(len(cloud), bool)
-    vidx = np.flatnonzero(valid)
+    vidx = np.flatnonzero(cloud.normal_ok)
     feats = features[vidx]
     if k < 1 or k > feats.shape[0]:
         raise ValueError(f"k={k} out of range for {feats.shape[0]} usable points")
@@ -364,51 +351,36 @@ def object_matrix(clustering: Clustering) -> ConstraintMatrix:
     return ConstraintMatrix(entries, label="clusters")
 
 
-def _row_without_diag(matrix: ConstraintMatrix, i: int) -> list[float]:
-    row = matrix.entries[i]
-    return [float(v) for j, v in enumerate(row) if j != i]
-
-
-def _match_count(model_row: list[float], cluster_row: list[float], threshold: float) -> int:
-    """One-to-one greedy pairing: how many model-row angles find a cluster-row
-    angle within the threshold, each cluster angle consumed at most once."""
-    used = [False] * len(cluster_row)
-    count = 0
-    for a in sorted(model_row):
-        best = -1
-        best_d = None
-        for idx, b in enumerate(cluster_row):
-            if used[idx]:
-                continue
-            d = abs(a - b)
-            if best_d is None or d < best_d:
-                best, best_d = idx, d
-        if best >= 0 and best_d < threshold:
-            used[best] = True
-            count += 1
-    return count
-
-
 def similarity_reduction(model: ConstraintMatrix, observed: ConstraintMatrix, cfg: PccConfig) -> list[list[int]]:
     """Per cluster, the model planes whose angle rows match it best.
 
     A cluster's row similarity to model plane y counts the values of model
     row y that pair, one-to-one, with a value of the cluster's row at
-    distance below similarity_threshold_deg.  All maximizers are kept; if
-    a cluster matches nothing, every model plane stays a candidate.
+    distance below similarity_threshold_deg.  The pairing is greedy: model
+    row y's values are taken in ascending order, each against the nearest
+    cluster value not yet used (the first of tied ones), which is used up
+    only when the pair counts.  All maximizers are kept; if a cluster
+    matches nothing, every model plane stays a candidate.
     """
-    candidates: list[list[int]] = []
-    for x in range(observed.size):
-        crow = _row_without_diag(observed, x)
-        counts = [
-            _match_count(_row_without_diag(model, y), crow, cfg.similarity_threshold_deg)
-            for y in range(model.size)
-        ]
-        best = max(counts)
-        if best == 0:
-            logger.info("cluster %d matches no model plane; keeping all candidates", x)
-        candidates.append([y for y, c in enumerate(counts) if c == best])
-    return candidates
+    n, m = model.size, observed.size
+    model_rows = np.sort(model.entries[~np.eye(n, dtype=bool)].reshape(n, n - 1), axis=1)
+    cluster_rows = observed.entries[~np.eye(m, dtype=bool)].reshape(m, m - 1)
+    # dist[x, y, s, c]: the s-th smallest angle of model row y against
+    # angle c of cluster row x, both rows without their diagonal
+    dist = np.abs(model_rows[None, :, :, None] - cluster_rows[:, None, None, :])
+    used = np.zeros((m, n, m - 1), dtype=bool)
+    counts = np.zeros((m, n), dtype=int)
+    for s in range(n - 1 if m > 1 else 0):
+        d = np.where(used, np.inf, dist[:, :, s])
+        pick = d.argmin(axis=2)  # the first of tied minima
+        nearest = np.take_along_axis(d, pick[..., None], axis=2)[..., 0]
+        hit = nearest < cfg.similarity_threshold_deg
+        used[hit, pick[hit]] = True
+        counts += hit
+    best = counts.max(axis=1)
+    for x in np.flatnonzero(best == 0):
+        logger.info("cluster %d matches no model plane; keeping all candidates", x)
+    return [np.flatnonzero(row == b).tolist() for row, b in zip(counts, best)]
 
 
 def tree_search(
@@ -475,20 +447,17 @@ def run_pcc(
     cloud: PointCloud,
     model: ConstraintMatrix,
     cfg: PccConfig | None = None,
-    normal_cfg: NormalEstimationConfig | None = None,
 ) -> tuple[PccSolution, Clustering]:
     """Full clustering pipeline: features, k-means, merge, reduce, search.
 
-    Estimates normals first when the cloud has none.  Returns the winning
-    assignment together with the merged clustering it refers to.
+    The cloud must carry normals (see normals.estimate_normals).  Returns
+    the winning assignment together with the merged clustering it refers to.
     """
     if cfg is None:
         cfg = PccConfig()
-    if cloud.normals is None:
-        cloud = estimate_normals(cloud, normal_cfg)
     features = normalize_features(cloud)
     k = choose_k(model.size, cfg)
-    usable = int(np.count_nonzero(cloud.normal_ok)) if cloud.normal_ok is not None else len(cloud)
+    usable = int(np.count_nonzero(cloud.normal_ok))
     if usable < 1:
         raise DegenerateInput("no points with usable normals")
     if k > usable:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import DegenerateInput, PointCloud, as_unit, pair_angles, upper_pairs
+from .geometry import DegenerateInput, PointCloud, as_unit
 from .pcc import ConstraintMatrix
 
 #: quoted sensor noise sigmas are converted to scene units with this factor
@@ -78,13 +78,6 @@ class ObjectSpec:
     view_elevation_deg: float
     azimuth_offset_deg: float
     sampling_density: float
-
-
-def dihedral_consistency(obj: ObjectSpec) -> float:
-    """Largest |face angle - model entry| over the model faces, degrees."""
-    measured = pair_angles([obj.faces[f].normal for f in obj.model_face_ids])
-    model = obj.model_matrix.entries[upper_pairs(len(obj.model_face_ids))]
-    return float(np.abs(measured - model).max(initial=0.0))
 
 
 def _face(face_id: int, vertices, normal) -> Face:
@@ -353,7 +346,7 @@ def read_cloud(path) -> PointCloud:
                 norms.append(row[3:6])
             if ncols in (4, 7):
                 label = row[-1]
-                if label != int(label):
+                if not (label.is_integer() and abs(label) < 2**63):  # int64; inf, NaN fail
                     raise ValueError(f"{path}: line {lineno}: label must be an integer")
                 labels.append(int(label))
     if not pts:

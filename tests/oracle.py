@@ -8,11 +8,14 @@ share only the total-least-squares plane fit with the library.
 from __future__ import annotations
 
 import itertools
+import logging
 import math
 
 import numpy as np
 
-from mme.geometry import DegenerateInput, fit_plane_lsq
+from mme.geometry import DegenerateInput, fit_plane_lsq, pair_angles, upper_pairs
+
+logger = logging.getLogger(__name__)
 
 
 def enumerate_assignments(model_entries, observed_entries, candidates, sizes, tolerance):
@@ -297,3 +300,61 @@ def reference_iterative(points, iterations, sample_size, distance_threshold, see
         planes.append(plane)
         remaining = np.setdiff1d(remaining, plane.inliers, assume_unique=True)
     return planes
+
+
+def _row_without_diag(matrix, i: int) -> list[float]:
+    row = matrix.entries[i]
+    return [float(v) for j, v in enumerate(row) if j != i]
+
+
+def _match_count(model_row: list[float], cluster_row: list[float], threshold: float) -> int:
+    """One-to-one greedy pairing: how many model-row angles find a cluster-row
+    angle within the threshold, each cluster angle consumed at most once."""
+    used = [False] * len(cluster_row)
+    count = 0
+    for a in sorted(model_row):
+        best = -1
+        best_d = None
+        for idx, b in enumerate(cluster_row):
+            if used[idx]:
+                continue
+            d = abs(a - b)
+            if best_d is None or d < best_d:
+                best, best_d = idx, d
+        if best >= 0 and best_d < threshold:
+            used[best] = True
+            count += 1
+    return count
+
+
+def reference_similarity_reduction(model, observed, cfg) -> list[list[int]]:
+    """The per-row greedy loop the array pass of pcc.similarity_reduction
+    replaced, kept verbatim: per cluster, the model planes whose angle rows
+    match it best."""
+    candidates: list[list[int]] = []
+    for x in range(observed.size):
+        crow = _row_without_diag(observed, x)
+        counts = [
+            _match_count(_row_without_diag(model, y), crow, cfg.similarity_threshold_deg)
+            for y in range(model.size)
+        ]
+        best = max(counts)
+        if best == 0:
+            logger.info("cluster %d matches no model plane; keeping all candidates", x)
+        candidates.append([y for y, c in enumerate(counts) if c == best])
+    return candidates
+
+
+def assignment(clustering) -> np.ndarray:
+    """Per-point cluster index of a clustering, -1 for an unclustered point."""
+    out = np.full(clustering.point_count, -1, dtype=int)
+    for ci, c in enumerate(clustering.clusters):
+        out[c.point_indices] = ci
+    return out
+
+
+def dihedral_consistency(obj) -> float:
+    """Largest |face angle - model entry| over an object's model faces, degrees."""
+    measured = pair_angles([obj.faces[f].normal for f in obj.model_face_ids])
+    model = obj.model_matrix.entries[upper_pairs(len(obj.model_face_ids))]
+    return float(np.abs(measured - model).max(initial=0.0))

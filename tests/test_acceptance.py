@@ -42,7 +42,7 @@ from mme.pcc import (
     tree_search,
 )
 from mme.synth import NoiseSpec, generate_view, get_object, turntable_view
-from oracle import enumerate_assignments, random_search_instance
+from oracle import assignment, enumerate_assignments, random_search_instance
 from test_pcc import MODEL_3, OBSERVED_4
 
 OBJECTS = ("cube", "pyramid", "double_pyramid")
@@ -249,7 +249,7 @@ def test_criterion_08_determinism(tmp_path, capsys):
 
     pcc = [run_pcc(n, obj.model_matrix, PccConfig(rng_seed=4)) for n in normals]
     if (pcc[0][0].mapping != pcc[1][0].mapping
-            or not np.array_equal(pcc[0][1].assignment, pcc[1][1].assignment)):
+            or not np.array_equal(assignment(pcc[0][1]), assignment(pcc[1][1]))):
         problems.append("clustering")
 
     fits = []

@@ -154,6 +154,8 @@ class TestRansacConfig:
         ("distance_threshold", -1.0),
         ("distance_threshold", float("nan")),
         ("rng_seed", -1),
+        ("distance_threshold", float("inf")),
+        ("distance_threshold", float("-inf")),
     ])
     def test_rejects(self, field, value):
         with pytest.raises(ValueError, match=field):

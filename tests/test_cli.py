@@ -262,11 +262,27 @@ class TestBadArguments:
         ("--method", "iterative", "--distance-threshold", "-1"),
         ("--tolerance", "nan"),
         ("--pcc-tolerance", "nan"),
+        ("--tolerance", "inf"),
+        ("--pcc-tolerance", "inf"),
+        ("--method", "iterative", "--distance-threshold", "inf"),
     ])
     def test_fit(self, cube_files, capsys, flags):
         cloud, constraints = cube_files
         capsys.readouterr()
         code = run("fit", "--cloud", str(cloud), "--constraints", str(constraints), *flags)
+        self.expect_one_error_line(code, capsys)
+
+    @pytest.mark.parametrize("method", ["mme", "iterative"])
+    def test_huge_coordinates(self, cube_files, tmp_path, capsys, method):
+        # squared distances of a view scaled by 1e300 overflow; the cloud
+        # is rejected on read, before normals or a plane fit see it
+        cloud_path, constraints = cube_files
+        cloud = read_cloud(cloud_path)
+        big = tmp_path / "big.xyz"
+        np.savetxt(big, np.column_stack([cloud.points * 1e300, cloud.labels]))
+        capsys.readouterr()
+        code = run("fit", "--cloud", str(big), "--constraints", str(constraints),
+                   "--method", method)
         self.expect_one_error_line(code, capsys)
 
     @pytest.mark.parametrize("flags", [("--view", "9"), ("--sigma", "-1")])

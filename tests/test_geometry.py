@@ -14,8 +14,8 @@ from mme.geometry import (
     angle_between,
     angle_deviation,
     angles,
+    _canonical_normal as canonical_normal,
     as_unit,
-    canonical_normal,
     fit_plane_lsq,
     oriented_normals,
     pair_angles,
@@ -210,3 +210,11 @@ class TestBasicsAndValidation:
         cloud = PointCloud(np.zeros((4, 3)), normals=np.zeros((4, 3)))
         assert cloud.normal_ok is not None and cloud.normal_ok.all()
         assert len(cloud) == 4
+
+    @pytest.mark.parametrize("value", [1.01e100, -1e300, float("inf"), float("-inf"), float("nan")])
+    def test_point_cloud_bounds_coordinates(self, value):
+        with pytest.raises(DegenerateInput, match="finite and at most 1e\\+100 in magnitude"):
+            PointCloud(np.array([[0.0, value, 1.0]]))
+
+    def test_point_cloud_accepts_the_bound(self):
+        assert len(PointCloud(np.array([[1e100, -1e100, 0.0]]))) == 1

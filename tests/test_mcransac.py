@@ -266,3 +266,8 @@ class TestRunMcransac:
     def test_config_rejects_nan(self, field):
         with pytest.raises(ValueError):
             McRansacConfig(**{field: float("nan")})
+
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf")])
+    def test_config_rejects_infinite_tolerance(self, value):
+        with pytest.raises(ValueError, match="constraint_tolerance_deg must be finite"):
+            McRansacConfig(constraint_tolerance_deg=value)

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
 from conftest import planar_cloud
 from mme.geometry import DegenerateInput, PointCloud, angle_between, as_unit
-from mme.normals import NormalEstimationConfig
+from mme.normals import NormalEstimationConfig, estimate_normals
 from mme.pcc import (
     EMPTY,
     Cluster,
@@ -32,12 +34,14 @@ from mme.pcc import (
 )
 from mme.synth import NoiseSpec, generate_view, get_object, turntable_view
 from oracle import (
+    assignment,
     broadcast_sqdist,
     enumerate_assignments,
     random_search_instance,
     reference_kmeans,
     reference_lloyd,
     reference_merge,
+    reference_similarity_reduction,
     remap_labels,
 )
 
@@ -97,6 +101,23 @@ class TestConstraintMatrix:
         path.write_text("2\n0 80\n")
         with pytest.raises(ValueError):
             read_constraint_matrix(path)
+
+    def test_read_names_the_first_unmirrored_pair(self, tmp_path):
+        # (1,3) and (2,3) do not mirror; row-major order reports (1,3) first,
+        # on the line of row 3
+        path = tmp_path / "bad.constraints"
+        path.write_text("3\n0 80 70\n80 0 60\n71 61 0\n")
+        with pytest.raises(ValueError, match=r"line 4: entry \(3,1\)=71 does not mirror "
+                                             r"\(1,3\)=70$"):
+            read_constraint_matrix(path)
+
+    def test_read_infinite_entries_warn_nothing(self, tmp_path):
+        path = tmp_path / "inf.constraints"
+        path.write_text("2\n0 inf\ninf 0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="line 2: constraint matrix entries must be finite"):
+                read_constraint_matrix(path)
 
 
 class TestFeaturesAndK:
@@ -161,7 +182,7 @@ class TestKmeans:
 
         one = kmeans_cluster(feats, 4, PccConfig(rng_seed=9), cloud)
         two = kmeans_cluster(feats, 4, PccConfig(rng_seed=9), cloud)
-        assert np.array_equal(one.assignment, two.assignment)
+        assert np.array_equal(assignment(one), assignment(two))
         multi = kmeans_cluster(feats, 4, PccConfig(rng_seed=9, kmeans_restarts=6), cloud)
         assert sse_of(multi) <= sse_of(one) + 1e-9
 
@@ -170,8 +191,8 @@ class TestKmeans:
         cloud.normal_ok[:10] = False
         feats = normalize_features(cloud)
         clustering = kmeans_cluster(feats, 3, PccConfig(rng_seed=0), cloud)
-        assert (clustering.assignment[:10] == -1).all()
-        assert (clustering.assignment[10:] >= 0).all()
+        assert (assignment(clustering)[:10] == -1).all()
+        assert (assignment(clustering)[10:] >= 0).all()
 
     def test_k_out_of_range(self, rng):
         cloud = blob_cloud(rng)
@@ -196,6 +217,11 @@ class TestKmeans:
     def test_config_rejects_nan(self, field):
         with pytest.raises(ValueError):
             PccConfig(**{field: float("nan")})
+
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf")])
+    def test_config_rejects_infinite_tolerance(self, value):
+        with pytest.raises(ValueError, match="constraint_tolerance_deg must be finite"):
+            PccConfig(constraint_tolerance_deg=value)
 
 
 def feature_cloud(rng, n):
@@ -222,7 +248,7 @@ class TestKmeansOracle:
         got = kmeans_cluster(feats, k, cfg, cloud)
         want, reseeds = reference_kmeans(feats, k, cloud.normal_ok, cfg.rng_seed,
                                          cfg.kmeans_restarts, cfg.kmeans_max_iter)
-        assert np.array_equal(got.assignment, want)
+        assert np.array_equal(assignment(got), want)
         assert len(got.clusters) == want.max() + 1
         for ci, c in enumerate(got.clusters):
             assert np.array_equal(c.point_indices, np.flatnonzero(want == ci))
@@ -272,14 +298,14 @@ class TestKmeansOracle:
         feats = rng.normal(size=(200, 6))
         self.check(feats, 4, cloud, PccConfig(rng_seed=2, kmeans_restarts=3))
         got = kmeans_cluster(feats, 4, PccConfig(rng_seed=2), cloud)
-        assert (got.assignment[~cloud.normal_ok] == -1).all()
-        assert (got.assignment[cloud.normal_ok] >= 0).all()
+        assert (assignment(got)[~cloud.normal_ok] == -1).all()
+        assert (assignment(got)[cloud.normal_ok] >= 0).all()
 
     def test_clusters_from_labels_with_gaps(self, rng):
         cloud = feature_cloud(rng, 120)
         labels = rng.choice([-1, 0, 2, 3, 7], size=120)
         clustering = _build_clustering(cloud, labels)
-        assert np.array_equal(clustering.assignment, remap_labels(labels))
+        assert np.array_equal(assignment(clustering), remap_labels(labels))
         assert [c.size for c in clustering.clusters] == \
             [int(np.count_nonzero(labels == v)) for v in (0, 2, 3, 7)]
         assert len(_build_clustering(cloud, np.full(120, -1)).clusters) == 0
@@ -311,7 +337,7 @@ class TestMerge:
         merged = merge_similar_clusters(clustering, PccConfig(), cloud)
         assert len(merged.clusters) == 1
         assert merged.clusters[0].size == 80
-        assert (merged.assignment == 0).all()
+        assert (assignment(merged) == 0).all()
 
     def test_keeps_distinct(self, rng):
         cloud, clustering = self.make(rng, 15.0)
@@ -323,7 +349,7 @@ class TestMerge:
         once = merge_similar_clusters(clustering, PccConfig(), cloud)
         twice = merge_similar_clusters(once, PccConfig(), cloud)
         assert len(once.clusters) == len(twice.clusters)
-        assert np.array_equal(once.assignment, twice.assignment)
+        assert np.array_equal(assignment(once), assignment(twice))
 
 
     def test_matches_the_pairwise_scan(self, rng):
@@ -359,6 +385,32 @@ class TestSimilarityReduction:
         observed = ConstraintMatrix(np.array([[0.0, 20.0], [20.0, 0.0]]))
         cands = similarity_reduction(model, observed, PccConfig(similarity_threshold_deg=5.0))
         assert cands == [[0, 1], [0, 1]]
+
+    @staticmethod
+    def random_angles(rng, size):
+        """Symmetric angle matrix with a -0 diagonal; half the matrices take
+        their entries from a 15-degree grid, so distances tie and land on
+        the thresholds, and about one entry in eight is -0."""
+        if rng.random() < 0.5:
+            entries = rng.integers(0, 13, size=(size, size)) * 15.0
+        else:
+            entries = rng.uniform(0.0, 180.0, size=(size, size))
+        entries[rng.random((size, size)) < 0.125] = -0.0
+        entries = np.triu(entries, 1)
+        entries = entries + entries.T
+        np.fill_diagonal(entries, -0.0)
+        return ConstraintMatrix(entries)
+
+    def test_matches_the_greedy_reference(self):
+        rng = np.random.default_rng(2024)
+        thresholds = (5.0, 15.0, 20.0, 30.0, 45.0, 1e300)
+        for case in range(1500):
+            n = 1 if case % 10 == 0 else int(rng.integers(1, 11))
+            m = 1 if case % 10 == 1 else int(rng.integers(1, 14))
+            model, observed = self.random_angles(rng, n), self.random_angles(rng, m)
+            cfg = PccConfig(similarity_threshold_deg=thresholds[case % len(thresholds)])
+            assert similarity_reduction(model, observed, cfg) == \
+                reference_similarity_reduction(model, observed, cfg), (case, n, m)
 
     def test_object_matrix(self, rng):
         cloud, clustering = TestMerge().make(rng, 30.0)
@@ -461,9 +513,8 @@ class TestRunPcc:
         obj = get_object("cube")
         view = turntable_view(obj, 3)
         cloud = generate_view(obj, view, noise=NoiseSpec(0.0, 0.0), rng_seed=5)
-        solution, clustering = run_pcc(cloud, obj.model_matrix,
-                                       PccConfig(rng_seed=5),
-                                       NormalEstimationConfig(k_neighbors=7))
+        cloud = estimate_normals(cloud, NormalEstimationConfig(k_neighbors=7))
+        solution, clustering = run_pcc(cloud, obj.model_matrix, PccConfig(rng_seed=5))
         groups = solution_groups(solution, clustering)
         assert 1 <= len(groups) <= obj.model_matrix.size
         majors = []
@@ -487,5 +538,11 @@ class TestRunPcc:
     def test_degenerate_cloud_raises(self):
         pts = np.outer(np.linspace(0, 1, 30), [1.0, 0.0, 0.0])
         with pytest.raises(DegenerateInput):
-            run_pcc(PointCloud(pts), ConstraintMatrix(np.array([[0.0]])),
-                    PccConfig(), NormalEstimationConfig(k_neighbors=5))
+            cloud = estimate_normals(PointCloud(pts), NormalEstimationConfig(k_neighbors=5))
+            run_pcc(cloud, ConstraintMatrix(np.array([[0.0]])), PccConfig())
+
+    def test_cloud_without_normals_raises(self):
+        obj = get_object("cube")
+        cloud = generate_view(obj, turntable_view(obj, 3), noise=NoiseSpec(0.0, 0.0), rng_seed=5)
+        with pytest.raises(DegenerateInput, match="estimate them first"):
+            run_pcc(cloud, obj.model_matrix, PccConfig(rng_seed=5))

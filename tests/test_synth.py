@@ -11,7 +11,6 @@ from mme.synth import (
     ViewSpec,
     builtin_objects,
     camera_frame,
-    dihedral_consistency,
     face_normals_in_view,
     generate_view,
     get_object,
@@ -19,6 +18,7 @@ from mme.synth import (
     turntable_view,
     write_cloud,
 )
+from oracle import dihedral_consistency
 
 OBJECT_NAMES = ("cube", "pyramid", "double_pyramid")
 
@@ -216,4 +216,11 @@ class TestCloudFiles:
             read_cloud(path)
         path.write_text("1 2 3 4.5\n")
         with pytest.raises(ValueError, match="label"):
+            read_cloud(path)
+
+    @pytest.mark.parametrize("label", ["inf", "-inf", "nan", "1e300"])
+    def test_non_finite_or_huge_label_is_named_with_its_line(self, tmp_path, label):
+        path = tmp_path / "bad.xyz"
+        path.write_text(f"0 0 0 1\n1 2 3 {label}\n")
+        with pytest.raises(ValueError, match="line 2: label must be an integer$"):
             read_cloud(path)
