@@ -169,11 +169,13 @@ def run_mcransac(
     groups = [np.asarray(g, dtype=int) for g in groups]
     if len(groups) != constraints.size:
         raise ValueError("need exactly one group per constraint row")
-    seeds = np.random.SeedSequence(cfg.rng_seed).spawn(cfg.iterations)
+    # a child per iteration as it starts, so no iteration count is held as a
+    # list of children; they equal SeedSequence.spawn(cfg.iterations), in order
+    seq = np.random.SeedSequence(cfg.rng_seed)
     best: MultiPlaneFit | None = None
     best_key = None
     for it in range(cfg.iterations):
-        rng = np.random.default_rng(seeds[it])
+        rng = np.random.default_rng(seq.spawn(1)[0])
         try:
             hyp = hypothesize(groups, cloud, cfg, rng=rng)
         except DegenerateInput:

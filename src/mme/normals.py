@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .geometry import DegenerateInput, PointCloud
 
@@ -37,6 +36,10 @@ def estimate_normals(cloud: PointCloud, cfg: NormalEstimationConfig | None = Non
     neighborhoods produce a zero normal flagged invalid in ``normal_ok``
     instead of raising.
 
+    The k-NN query uses scipy's cKDTree.  scipy is imported on the first
+    call, not with the package, so a process that never estimates normals
+    never loads it.
+
     Returns a new PointCloud sharing the input points and labels.
     """
     if cfg is None:
@@ -47,6 +50,9 @@ def estimate_normals(cloud: PointCloud, cfg: NormalEstimationConfig | None = Non
         raise DegenerateInput(
             f"need at least {cfg.k_neighbors + 1} points, got {n}"
         )
+    # deferred: scipy.spatial is most of the package's import time
+    from scipy.spatial import cKDTree
+
     tree = cKDTree(pts)
     _, idx = tree.query(pts, k=cfg.k_neighbors + 1)
 

@@ -317,25 +317,44 @@ def write_cloud(path, cloud: PointCloud, comments=()) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def read_cloud(path) -> PointCloud:
-    """Read a cloud written by write_cloud; column layout is inferred.
+#: the column layouts write_cloud writes, by their `# columns:` header
+CLOUD_LAYOUTS = ("x y z", "x y z label", "x y z nx ny nz", "x y z nx ny nz label")
 
+
+def read_cloud(path) -> PointCloud:
+    """Read a cloud written by write_cloud.
+
+    A `# columns: ...` line before the first data row fixes the layout:
+    one of CLOUD_LAYOUTS, and every row must have that many fields.
+    Without one the layout is inferred from the first row's column count:
     3 columns = points, 4 = points+label, 6 = points+normals,
     7 = points+normals+label.  Zero normals are flagged invalid.
     """
     pts, norms, labels = [], [], []
     ncols = None
+    header = None
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            text = line.split("#", 1)[0].strip()
+            text, _, comment = line.partition("#")
+            text = text.strip()
             if not text:
+                comment = comment.strip()
+                if ncols is None and comment.startswith("columns:"):
+                    header = " ".join(comment[len("columns:"):].split())
+                    if header not in CLOUD_LAYOUTS:
+                        raise ValueError(f"{path}: line {lineno}: unknown column layout "
+                                         f"{header!r}; expected one of "
+                                         f"{', '.join(map(repr, CLOUD_LAYOUTS))}")
                 continue
             fields = text.split()
             if ncols is None:
-                ncols = len(fields)
+                ncols = len(header.split()) if header else len(fields)
                 if ncols not in (3, 4, 6, 7):
                     raise ValueError(f"{path}: line {lineno}: expected 3, 4, 6 or 7 columns")
             if len(fields) != ncols:
+                if header:
+                    raise ValueError(f"{path}: line {lineno}: expected {ncols} columns "
+                                     f"(header: {header})")
                 raise ValueError(f"{path}: line {lineno}: expected {ncols} columns, got {len(fields)}")
             try:
                 row = [float(f) for f in fields]

@@ -2,7 +2,9 @@
 
 Kept free of any import from the package's search internals so the two
 sides of an equivalence test cannot share a bug.  The RANSAC draw loops
-share only the total-least-squares plane fit with the library.
+share only the total-least-squares plane fit with the library.  The
+multi-plane RANSAC loop reuses the library's hypothesize, check and grow
+steps: it pins only how the loop seeds its iterations.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import math
 
 import numpy as np
 
+from mme import mcransac
 from mme.geometry import DegenerateInput, fit_plane_lsq, pair_angles, upper_pairs
 
 logger = logging.getLogger(__name__)
@@ -300,6 +303,34 @@ def reference_iterative(points, iterations, sample_size, distance_threshold, see
         planes.append(plane)
         remaining = np.setdiff1d(remaining, plane.inliers, assume_unique=True)
     return planes
+
+
+def reference_mcransac(groups, cloud, constraints, cfg, reference_directions=None):
+    """run_mcransac's loop with every iteration's seed spawned before the
+    first hypothesis."""
+    groups = [np.asarray(g, dtype=int) for g in groups]
+    seeds = np.random.SeedSequence(cfg.rng_seed).spawn(cfg.iterations)
+    best, best_key = None, None
+    for it in range(cfg.iterations):
+        rng = np.random.default_rng(seeds[it])
+        try:
+            hyp = mcransac.hypothesize(groups, cloud, cfg, rng=rng)
+        except DegenerateInput:
+            if any(g.shape[0] < cfg.sample_size for g in groups):
+                raise
+            continue
+        if not mcransac.check_constraints(hyp, constraints, cfg.constraint_tolerance_deg,
+                                          reference_directions):
+            continue
+        fit = mcransac.grow_inliers(hyp, groups, cloud, constraints, cfg, rng=rng,
+                                    reference_directions=reference_directions)
+        fit.iteration = it
+        key = (fit.total_inliers, -fit.mean_residual)
+        if best is None or key > best_key:
+            best, best_key = fit, key
+    if best is None:
+        raise mcransac.NoSatisfyingFit("no hypothesis satisfied the constraints")
+    return best
 
 
 def _row_without_diag(matrix, i: int) -> list[float]:

@@ -107,6 +107,19 @@ class TestFit:
         code = run("fit", "--cloud", str(bad), "--constraints", str(constraints))
         assert code == EXIT_INVALID
 
+    def test_cloud_short_of_its_header_exits_one(self, tmp_path, cube_files, capsys):
+        cloud, constraints = cube_files
+        lines = cloud.read_text().splitlines()
+        bad = tmp_path / "bad.xyz"
+        bad.write_text("".join(line.split(" ", 1)[1] + "\n" if not line.startswith("#")
+                               else line + "\n" for line in lines))
+        capsys.readouterr()
+        code = run("fit", "--cloud", str(bad), "--constraints", str(constraints))
+        assert code == EXIT_INVALID
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert err[0].endswith("line 3: expected 4 columns (header: x y z label)"), err
+
     def test_missing_file_exits_one(self, cube_files, capsys):
         _, constraints = cube_files
         code = run("fit", "--cloud", "/nonexistent.xyz", "--constraints",

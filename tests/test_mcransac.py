@@ -17,7 +17,7 @@ from mme.mcransac import (
     run_mcransac,
 )
 from mme.pcc import EMPTY, ConstraintMatrix, PccSolution
-from oracle import reference_hypothesize
+from oracle import reference_hypothesize, reference_mcransac
 
 RIGHT_ANGLE = ConstraintMatrix(np.array([[0.0, 90.0], [90.0, 0.0]]))
 
@@ -244,6 +244,23 @@ class TestRunMcransac:
         for p, q in zip(one.planes, two.planes):
             assert p.normal.tobytes() == q.normal.tobytes()
             assert np.array_equal(p.inliers, q.inliers)
+
+    @pytest.mark.parametrize("seed, iterations", [(21, 1), (8, 17), (11, 12)])
+    def test_matches_up_front_seeding(self, rng, seed, iterations):
+        # spawning one child per iteration gives the children that spawning
+        # them all before the loop gave, in the same order
+        cloud, _ = two_plane_cloud(rng, n_per=70, jitter=0.005)
+        groups = label_index_groups(cloud)
+        cfg = McRansacConfig(iterations=iterations, sample_size=4, min_eval_fraction=0.3,
+                             constraint_tolerance_deg=2.0, rng_seed=seed)
+        fit = run_mcransac(groups, cloud, RIGHT_ANGLE, cfg)
+        ref = reference_mcransac(groups, cloud, RIGHT_ANGLE, cfg)
+        assert fit.iteration == ref.iteration
+        assert fit.total_inliers == ref.total_inliers
+        for plane, want in zip(fit.planes, ref.planes):
+            assert plane.normal.tobytes() == want.normal.tobytes()
+            assert np.float64(plane.offset).tobytes() == np.float64(want.offset).tobytes()
+            assert np.array_equal(plane.inliers, want.inliers)
 
     def test_group_count_must_match_constraints(self, rng):
         cloud, _ = two_plane_cloud(rng)

@@ -7,6 +7,7 @@ import pytest
 
 from mme.geometry import DegenerateInput, PointCloud, angle_between
 from mme.synth import (
+    CLOUD_LAYOUTS,
     NoiseSpec,
     ViewSpec,
     builtin_objects,
@@ -186,16 +187,45 @@ class TestCloudFiles:
 
     def test_column_layouts(self, tmp_path, rng):
         pts = rng.normal(size=(5, 3))
-        base = PointCloud(pts)
-        labelled = PointCloud(pts, labels=np.arange(5))
-        with_normals = PointCloud(pts, normals=np.tile([0.0, 0.0, 1.0], (5, 1)))
-        for i, cloud in enumerate((base, labelled, with_normals)):
+        normals = np.tile([0.0, 0.0, 1.0], (5, 1))
+        labels = np.arange(5)
+        for i, (nrm, lab) in enumerate([(None, None), (None, labels),
+                                        (normals, None), (normals, labels)]):
+            cloud = PointCloud(pts, normals=nrm, labels=lab)
             path = tmp_path / f"c{i}.xyz"
             write_cloud(path, cloud)
+            assert f"# columns: {CLOUD_LAYOUTS[i]}\n" in path.read_text()
             back = read_cloud(path)
-            assert np.allclose(back.points, pts)
-            assert (back.labels is None) == (cloud.labels is None)
-            assert (back.normals is None) == (cloud.normals is None)
+            assert back.points.tobytes() == pts.tobytes()
+            assert (back.labels is None) == (lab is None)
+            assert (back.normals is None) == (nrm is None)
+            if lab is not None:
+                assert np.array_equal(back.labels, lab)
+            if nrm is not None:
+                assert back.normals.tobytes() == nrm.tobytes()
+
+    def test_header_fixes_the_layout(self, tmp_path, rng):
+        # a labelled file that lost its x column would parse as x y z
+        path = tmp_path / "c.xyz"
+        write_cloud(path, PointCloud(rng.normal(size=(4, 3)), labels=np.arange(4)),
+                    comments=("object=cube",))
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:2] + [r.split(" ", 1)[1] for r in lines[2:]]) + "\n")
+        with pytest.raises(ValueError,
+                           match=r"line 3: expected 4 columns \(header: x y z label\)$"):
+            read_cloud(path)
+
+    @pytest.mark.parametrize("layout", ["x y", "x y z w", "label x y z", "x y z nx ny"])
+    def test_unknown_header_layout_rejected(self, tmp_path, layout):
+        path = tmp_path / "c.xyz"
+        path.write_text(f"# columns: {layout}\n" + "0 " * len(layout.split()) + "\n")
+        with pytest.raises(ValueError, match="line 1: unknown column layout"):
+            read_cloud(path)
+
+    def test_header_after_data_is_a_comment(self, tmp_path):
+        path = tmp_path / "c.xyz"
+        path.write_text("0 0 0\n# columns: x y z label\n1 0 0\n")
+        assert read_cloud(path).labels is None
 
     def test_zero_normals_read_as_invalid(self, tmp_path):
         path = tmp_path / "c.xyz"
