@@ -199,16 +199,32 @@ def _cmd_fit(args) -> int:
     return EXIT_OK
 
 
+def _comma_list(flag: str, text: str, parse=str) -> list:
+    """The parsed items of a comma-list flag, which may be neither empty nor
+    name one value twice (its cells would run, and count, twice)."""
+    if not text:
+        raise CliError(f"{flag} is empty")
+    values = []
+    for item in text.split(","):
+        value = _checked(parse, item)
+        if value in values:
+            raise CliError(f"{flag} repeats {item!r}")
+        values.append(value)
+    return values
+
+
 def _cmd_bench(args) -> int:
     # every argument is checked here, before the first cell runs
-    methods = args.methods.split(",") if args.methods else list(METHODS)
+    methods = (list(METHODS) if args.methods is None
+               else _comma_list("--methods", args.methods))
     for m in methods:
         if m not in METHODS:
             raise CliError(f"unknown method {m!r}; choose from {', '.join(METHODS)}")
-    objects = args.objects.split(",") if args.objects else [o.name for o in builtin_objects()]
+    objects = ([o.name for o in builtin_objects()] if args.objects is None
+               else _comma_list("--objects", args.objects))
     for name in objects:
         _checked(turntable_view, _checked(get_object, name), args.views)
-    sigmas = [_checked(float, s) for s in args.sigmas.split(",")]
+    sigmas = _comma_list("--sigmas", args.sigmas, float)
     for s in sigmas:
         _checked(NoiseSpec, 0.0, s)
     if args.repeats < 1:

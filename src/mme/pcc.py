@@ -207,19 +207,20 @@ def choose_k(max_visible_planes: int, cfg: PccConfig) -> int:
 
 
 def _sqdist(cols: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Squared distances from every point to every center, shape (N, k).
+    """Squared distances from every center to every point, shape (k, N).
 
-    cols holds the point features column by column, shape (d, N).  The
-    squared feature differences are added one column at a time in feature
-    order, the order in which a sum over the feature axis adds them.  That
-    order is part of the output contract: k-means results stay bit-identical
-    to the broadcast (N, k, d) form only while it holds, so neither reorder
+    cols holds the point features column by column, shape (d, N), so each
+    pass runs over one contiguous row of N points per center.  The squared
+    feature differences are added one column at a time in feature order,
+    the order in which a sum over the feature axis adds them.  That order
+    is part of the output contract: k-means results stay bit-identical to
+    the broadcast (N, k, d) form only while it holds, so neither reorder
     the sum nor expand it as |a|^2 - 2a.b + |b|^2.
     """
-    acc = np.square(cols[0][:, None] - centers[:, 0])
+    acc = np.square(cols[0] - centers[:, 0, None])
     diff = np.empty_like(acc)
     for c in range(1, cols.shape[0]):
-        np.subtract(cols[c][:, None], centers[:, c], out=diff)
+        np.subtract(cols[c], centers[:, c, None], out=diff)
         acc += np.square(diff, out=diff)
     return acc
 
@@ -229,7 +230,7 @@ def _kmeans_pp_init(cols: np.ndarray, k: int, rng: np.random.Generator) -> np.nd
     centers = np.empty((k, d))
     first = int(rng.integers(n))
     centers[0] = cols[:, first]
-    d2 = _sqdist(cols, centers[:1])[:, 0]
+    d2 = _sqdist(cols, centers[:1])[0]
     for j in range(1, k):
         total = d2.sum()
         if total <= 0.0:
@@ -238,7 +239,7 @@ def _kmeans_pp_init(cols: np.ndarray, k: int, rng: np.random.Generator) -> np.nd
             continue
         pick = int(rng.choice(n, p=d2 / total))
         centers[j] = cols[:, pick]
-        d2 = np.minimum(d2, _sqdist(cols, centers[j:j + 1])[:, 0])
+        d2 = np.minimum(d2, _sqdist(cols, centers[j:j + 1])[0])
     return centers
 
 
@@ -257,27 +258,36 @@ def _build_clustering(cloud: PointCloud, labels: np.ndarray) -> Clustering:
     return Clustering(clusters, len(cloud))
 
 
-def _kmeans_once(feats: np.ndarray, k: int, rng: np.random.Generator, cfg: PccConfig):
-    """One k-means++ / Lloyd run; returns (assignment, within-cluster SSE).
+def _kmeans_once(cols: np.ndarray, k: int, rng: np.random.Generator, cfg: PccConfig):
+    """One k-means++ / Lloyd run over (d, N) feature columns; returns
+    (assignment, within-cluster SSE).
 
+    Each Lloyd pass reads the (k, N) distances of _sqdist and assigns every
+    point to the first of its nearest centers, the lowest index on ties as
+    np.argmin gives.  At the assignment fixpoint the centers have not moved
+    since that pass, so the SSE is the sum of its minimum distances; a run
+    cut off by kmeans_max_iter measures it against the last moved centers.
     Cluster counts and centroid sums come from np.bincount, which adds each
     cluster's feature values in point order, as the per-cluster mean does.
     Like the order in _sqdist, this keeps the result bit-identical to a
     masked pass per cluster and is part of the output contract.
     """
-    cols = np.ascontiguousarray(feats.T)
     centers = _kmeans_pp_init(cols, k, rng)
-    points = np.arange(cols.shape[1])
     prev = None
-    assign = np.zeros(cols.shape[1], dtype=int)
     for _ in range(cfg.kmeans_max_iter):
         d2 = _sqdist(cols, centers)
-        assign = np.argmin(d2, axis=1)
+        # a running minimum down the k rows, strict < keeping the lowest
+        # index on ties; on sweep-sized clouds it is faster than d2.argmin(0)
+        own = d2[0].copy()
+        assign = np.zeros(cols.shape[1], dtype=np.intp)
+        for j in range(1, k):
+            assign[d2[j] < own] = j
+            np.minimum(own, d2[j], out=own)
         counts = np.bincount(assign, minlength=k)
         empty = np.flatnonzero(counts == 0)
         if empty.size:
             donors_used: set[int] = set()
-            order = np.argsort(-d2[points, assign])
+            order = np.argsort(-own)
             for j in empty:
                 donor = next(int(i) for i in order if int(i) not in donors_used)
                 donors_used.add(donor)
@@ -285,13 +295,13 @@ def _kmeans_once(feats: np.ndarray, k: int, rng: np.random.Generator, cfg: PccCo
                 assign[donor] = j
             counts = np.bincount(assign, minlength=k)
         elif prev is not None and np.array_equal(assign, prev):
-            break
+            return assign, float(own.sum())
         prev = assign
         for c, col in enumerate(cols):
             centers[:, c] = np.bincount(assign, weights=col, minlength=k)
         centers /= counts[:, None]
-    sse = float(_sqdist(cols, centers)[points, assign].sum())
-    return assign, sse
+    own = np.take_along_axis(_sqdist(cols, centers), assign[None, :], axis=0)[0]
+    return assign, float(own.sum())
 
 
 def kmeans_cluster(features: np.ndarray, k: int, cfg: PccConfig, cloud: PointCloud) -> Clustering:
@@ -304,13 +314,13 @@ def kmeans_cluster(features: np.ndarray, k: int, cfg: PccConfig, cloud: PointClo
     within-cluster squared error wins (ties keep the earliest run).
     """
     vidx = np.flatnonzero(cloud.normal_ok)
-    feats = features[vidx]
-    if k < 1 or k > feats.shape[0]:
-        raise ValueError(f"k={k} out of range for {feats.shape[0]} usable points")
+    if k < 1 or k > vidx.size:
+        raise ValueError(f"k={k} out of range for {vidx.size} usable points")
+    cols = np.ascontiguousarray(features[vidx].T)
     best_assign = None
     best_sse = math.inf
     for seed in np.random.SeedSequence(cfg.rng_seed).spawn(cfg.kmeans_restarts):
-        assign, sse = _kmeans_once(feats, k, np.random.default_rng(seed), cfg)
+        assign, sse = _kmeans_once(cols, k, np.random.default_rng(seed), cfg)
         if sse < best_sse:
             best_assign, best_sse = assign, sse
     full = np.full(len(cloud), -1, dtype=int)

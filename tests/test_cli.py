@@ -325,6 +325,13 @@ class TestBadArguments:
         ("--objects", "cube,teapot"),
         ("--sigmas", "0,x"),
         ("--repeats", "0"),
+        ("--methods", ""),
+        ("--objects", ""),
+        ("--sigmas", ""),
+        ("--methods", "iterative,iterative"),
+        ("--objects", "cube,cube"),
+        ("--sigmas", "0,0.0"),
+        ("--sigmas", "1e-5,0,0.00001"),
     ])
     def test_bench_checks_before_the_sweep(self, tmp_path, capsys, flags):
         out = tmp_path / "x.csv"

@@ -239,8 +239,9 @@ class TestKmeansOracle:
         # each run: the assignment and the SSE, which reads every center
         # and distance, agree to the last bit
         usable = feats[cloud.normal_ok]
+        cols = np.ascontiguousarray(usable.T)
         for seed in np.random.SeedSequence(cfg.rng_seed).spawn(cfg.kmeans_restarts):
-            assign, sse = _kmeans_once(usable, k, np.random.default_rng(seed), cfg)
+            assign, sse = _kmeans_once(cols, k, np.random.default_rng(seed), cfg)
             ref_assign, ref_sse, _ = reference_lloyd(usable, k, np.random.default_rng(seed),
                                                      cfg.kmeans_max_iter)
             assert np.array_equal(assign, ref_assign)
@@ -261,7 +262,7 @@ class TestKmeansOracle:
         for _ in range(50):
             a = rng.normal(size=(int(rng.integers(1, 300)), 6)) * rng.uniform(0.01, 100.0)
             b = rng.normal(size=(int(rng.integers(1, 10)), 6))
-            assert np.array_equal(_sqdist(np.ascontiguousarray(a.T), b), broadcast_sqdist(a, b))
+            assert np.array_equal(_sqdist(np.ascontiguousarray(a.T), b).T, broadcast_sqdist(a, b))
 
     def test_random_features(self):
         rng = np.random.default_rng(77)
@@ -281,6 +282,18 @@ class TestKmeansOracle:
         feats = rng.normal(size=(300, 6))
         for restarts in (2, 5):
             self.check(feats, 6, cloud, PccConfig(rng_seed=11, kmeans_restarts=restarts))
+
+    @pytest.mark.parametrize("max_iter", [1, 2, 3])
+    def test_stops_before_the_fixpoint(self, max_iter):
+        # a run cut off by kmeans_max_iter measures its SSE against centers
+        # that moved after the last assignment pass
+        rng = np.random.default_rng(40 + max_iter)
+        for trial in range(10):
+            n = int(rng.integers(30, 400))
+            cloud = feature_cloud(rng, n)
+            feats = rng.normal(size=(n, 6)) * rng.uniform(0.05, 3.0, size=6)
+            self.check(feats, int(rng.integers(2, 9)), cloud,
+                       PccConfig(rng_seed=trial, kmeans_max_iter=max_iter, kmeans_restarts=2))
 
     def test_duplicated_points_force_reseed(self, rng):
         # three distinct rows repeated: k-means++ runs out of distinct points
