@@ -129,14 +129,8 @@ def _derive_seed(*parts) -> int:
 def label_groups(cloud, sample_size: int):
     """Ground-truth label groups large enough to fit, ascending by label."""
     min_size = max(sample_size, int(np.ceil(MIN_GROUP_FRACTION * len(cloud))))
-    labels = np.unique(cloud.labels)
-    groups, kept = [], []
-    for lab in labels:
-        idx = np.flatnonzero(cloud.labels == lab)
-        if idx.shape[0] >= min_size:
-            groups.append(idx)
-            kept.append(int(lab))
-    return groups, kept
+    groups = [np.flatnonzero(cloud.labels == lab) for lab in np.unique(cloud.labels)]
+    return [g for g in groups if g.shape[0] >= min_size]
 
 
 def pcc_stage(cloud, model: ConstraintMatrix, normal_cfg: NormalEstimationConfig,

@@ -126,12 +126,15 @@ def _cmd_synth(args) -> int:
     noise = _checked(NoiseSpec, 0.0, args.sigma)
     cloud = generate_view(obj, view, noise=noise, rng_seed=args.seed)
     out = Path(args.output)
-    write_cloud(out, cloud, comments=(
-        f"object={obj.name} view={view.view_index} azimuth={view.azimuth_deg:.9g} "
-        f"elevation={view.elevation_deg:.9g} sigma={args.sigma:.9g} seed={args.seed}",))
-    write_constraint_matrix(out.with_suffix(".constraints"), obj.model_matrix)
-    print(f"wrote {len(cloud)} points to {out} "
-          f"({out.with_suffix('.constraints').name} alongside)")
+    constraints_path = out.with_suffix(".constraints")
+    try:
+        write_cloud(out, cloud, comments=(
+            f"object={obj.name} view={view.view_index} azimuth={view.azimuth_deg:.9g} "
+            f"elevation={view.elevation_deg:.9g} sigma={args.sigma:.9g} seed={args.seed}",))
+        write_constraint_matrix(constraints_path, obj.model_matrix)
+    except OSError as exc:
+        raise CliError(f"cannot write {exc.filename}: {exc.strerror}") from exc
+    print(f"wrote {len(cloud)} points to {out} ({constraints_path.name} alongside)")
     return EXIT_OK
 
 
@@ -143,6 +146,14 @@ def _load(read, path: str, noun: str):
         raise CliError(f"cannot read {noun} {path}: {exc}") from exc
     except ValueError as exc:
         raise CliError(str(exc)) from exc
+
+
+def _open_output(path: Path):
+    """An output file opened for writing; an unwritable path is a CliError."""
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def _cmd_fit(args) -> int:
@@ -176,7 +187,7 @@ def _cmd_fit(args) -> int:
         if args.method == "clustered":
             if cloud.labels is None:
                 raise CliError("clustered fitting needs a labelled cloud (label column)")
-            groups, _ = label_groups(cloud, cfg.sample_size)
+            groups = label_groups(cloud, cfg.sample_size)
             if not groups:
                 raise CliError("no labelled group is large enough to fit")
             planes = clustered_ransac(groups, cloud, cfg)
@@ -229,16 +240,17 @@ def _cmd_bench(args) -> int:
         _checked(NoiseSpec, 0.0, s)
     if args.repeats < 1:
         raise CliError("repeats must be >= 1")
-    results = []
-    for method in methods:
-        logger.info("sweep: method=%s", method)
-        results.extend(run_experiment(method, objects, sigmas,
-                                      views=args.views, repeats=args.repeats,
-                                      seed=args.seed))
     out = Path(args.output)
-    out.write_text(results_csv(results, include_timing=not args.no_timing))
     summary_path = out.with_suffix(".summary.csv")
-    summary_path.write_text(summary_csv(results))
+    with _open_output(out) as results_file, _open_output(summary_path) as summary_file:
+        results = []
+        for method in methods:
+            logger.info("sweep: method=%s", method)
+            results.extend(run_experiment(method, objects, sigmas,
+                                          views=args.views, repeats=args.repeats,
+                                          seed=args.seed))
+        results_file.write(results_csv(results, include_timing=not args.no_timing))
+        summary_file.write(summary_csv(results))
     print(f"wrote {len(results)} cells to {out} (summary: {summary_path.name})")
     return EXIT_OK
 
@@ -300,6 +312,7 @@ def main(argv=None) -> int:
     logging.basicConfig(
         level=logging.DEBUG if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s")
+    code = EXIT_OK  # a print that fails ran after the command's work succeeded
     try:
         if args.config:
             # precedence: explicit flags > config file entries > defaults;
@@ -311,13 +324,19 @@ def main(argv=None) -> int:
             args.seed = _default_seed()
         if args.seed < 0:
             raise CliError(f"seed must be >= 0, got {args.seed}")
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so a closed stdout fails here, not at exit
+    except BrokenPipeError:
+        # the reader closed stdout, as `mme fit ... | head -1` does; point
+        # stdout at devnull so the flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except DegenerateInput as exc:
         print(f"error: degenerate input: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    return code
 
 
 if __name__ == "__main__":

@@ -98,11 +98,9 @@ def check_constraints(
     return not np.count_nonzero(devs > tolerance_deg)
 
 
-def hypothesize(groups, cloud: PointCloud, cfg: McRansacConfig, rng=None) -> list[PlaneModel]:
+def hypothesize(groups, cloud: PointCloud, cfg: McRansacConfig, rng) -> list[PlaneModel]:
     """One minimal-sample plane per group, drawn by sample_plane in group
-    order from one stream."""
-    if rng is None:
-        rng = np.random.default_rng(cfg.rng_seed)
+    order from the stream rng."""
     return [sample_plane(cloud.points, np.asarray(g, dtype=int), cfg.sample_size, rng)
             for g in groups]
 
@@ -113,7 +111,7 @@ def grow_inliers(
     cloud: PointCloud,
     constraints: ConstraintMatrix,
     cfg: McRansacConfig,
-    rng=None,
+    rng,
     reference_directions=None,
 ) -> MultiPlaneFit:
     """Grow each group's inlier set point by point under the constraints.
@@ -126,8 +124,6 @@ def grow_inliers(
     group order; that order, and the permutation drawn over it, is part of
     the output contract, since the accepted sets depend on it.
     """
-    if rng is None:
-        rng = np.random.default_rng(cfg.rng_seed)
     planes = list(planes)
     inliers = [list(map(int, p.inliers)) for p in planes]
     for gi, g in enumerate(groups):

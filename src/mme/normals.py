@@ -11,16 +11,9 @@ from .geometry import DegenerateInput, PointCloud
 
 @dataclass(frozen=True)
 class NormalEstimationConfig:
-    """k_neighbors excludes the point itself; the fit uses k+1 points.
-
-    The viewpoint disambiguates normal orientation: every normal is
-    flipped, if needed, so it points toward the sensor.  Clouds produced
-    by the synthetic generator are in camera coordinates, so the default
-    origin viewpoint is the sensor position.
-    """
+    """k_neighbors excludes the point itself; the fit uses k+1 points."""
 
     k_neighbors: int = 7
-    viewpoint: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
         if self.k_neighbors < 3:
@@ -32,9 +25,10 @@ def estimate_normals(cloud: PointCloud, cfg: NormalEstimationConfig | None = Non
 
     Each point's neighborhood (itself plus its k nearest Euclidean
     neighbors) gets a total-least-squares plane; the plane normal, oriented
-    toward cfg.viewpoint, becomes the point normal.  Rank-deficient
-    neighborhoods produce a zero normal flagged invalid in ``normal_ok``
-    instead of raising.
+    toward the sensor, becomes the point normal.  The cloud must be in
+    camera coordinates, as the synthetic generator writes it, so that the
+    sensor sits at the origin.  Rank-deficient neighborhoods produce a zero
+    normal flagged invalid in ``normal_ok`` instead of raising.
 
     The k-NN query uses scipy's cKDTree.  scipy is imported on the first
     call, not with the package, so a process that never estimates normals
@@ -71,8 +65,8 @@ def estimate_normals(cloud: PointCloud, cfg: NormalEstimationConfig | None = Non
     safe = np.where(ok, norms, 1.0)
     normals = normals / safe[:, None]
 
-    # orient toward the viewpoint
-    to_vp = np.asarray(cfg.viewpoint, dtype=float) - pts
+    # orient toward the sensor at the origin
+    to_vp = 0.0 - pts
     flip = np.einsum("ni,ni->n", normals, to_vp) < 0.0
     normals[flip] = -normals[flip]
     normals[~ok] = 0.0

@@ -22,6 +22,9 @@ logger = logging.getLogger(__name__)
 #: a model plane left without a cluster in a PccSolution mapping
 EMPTY = None
 
+#: Lloyd passes a k-means run may take before it stops short of a fixpoint
+KMEANS_MAX_ITER = 100
+
 
 class NoSolution(RuntimeError):
     """No cluster-to-model-plane assignment satisfies the constraints."""
@@ -84,6 +87,8 @@ def read_constraint_matrix(path) -> ConstraintMatrix:
             if n < 1:
                 raise ValueError(f"{path}: line {lineno}: plane count must be >= 1")
             continue
+        if len(rows) == n:
+            raise ValueError(f"{path}: line {lineno}: unexpected data after the {n} matrix rows")
         try:
             values = [float(f) for f in fields]
         except ValueError:
@@ -91,8 +96,6 @@ def read_constraint_matrix(path) -> ConstraintMatrix:
         if len(values) != n:
             raise ValueError(f"{path}: line {lineno}: expected {n} angles, got {len(values)}")
         rows.append((lineno, values))
-        if len(rows) == n:
-            break
     if n is None:
         raise ValueError(f"{path}: line 1: empty constraint file")
     if len(rows) != n:
@@ -112,14 +115,13 @@ def read_constraint_matrix(path) -> ConstraintMatrix:
         raise ValueError(f"{path}: line {rows[0][0]}: {err}") from None
 
 
-def write_constraint_matrix(path, matrix: ConstraintMatrix, comments=()) -> None:
+def write_constraint_matrix(path, matrix: ConstraintMatrix) -> None:
     """Write a constraint matrix in the plain-text format of read_constraint_matrix."""
     lines = [
         "# inter-plane angle constraints, degrees",
         "# entries <= 90 are compared orientation-free;",
         "# obtuse entries assume consistently oriented (outward) normals",
     ]
-    lines += [f"# {c}" for c in comments]
     lines.append(str(matrix.size))
     for row in matrix.entries:
         lines.append(" ".join(f"{v:.17g}" for v in row))
@@ -133,7 +135,6 @@ class PccConfig:
     merge_angle_deg: float = 10.0
     similarity_threshold_deg: float = 20.0
     constraint_tolerance_deg: float = 20.0
-    kmeans_max_iter: int = 100
     kmeans_restarts: int = 1
     rng_seed: int = 0
 
@@ -145,8 +146,6 @@ class PccConfig:
             raise ValueError("angle thresholds must be positive")
         if not 0.0 <= self.constraint_tolerance_deg < math.inf:
             raise ValueError("constraint_tolerance_deg must be finite and >= 0")
-        if self.kmeans_max_iter < 1:
-            raise ValueError("kmeans_max_iter must be >= 1")
         if self.kmeans_restarts < 1:
             raise ValueError("kmeans_restarts must be >= 1")
 
@@ -165,10 +164,9 @@ class Cluster:
 
 @dataclass(eq=False)
 class Clustering:
-    """Disjoint clusters over a cloud of point_count points."""
+    """Disjoint clusters over the points of one cloud."""
 
     clusters: list[Cluster]
-    point_count: int
 
 
 @dataclass(frozen=True)
@@ -243,8 +241,8 @@ def _kmeans_pp_init(cols: np.ndarray, k: int, rng: np.random.Generator) -> np.nd
     return centers
 
 
-def _build_clustering(cloud: PointCloud, labels: np.ndarray) -> Clustering:
-    """Clusters from per-point labels, -1 meaning unclustered.
+def _build_clustering(cloud: PointCloud, idx: np.ndarray, labels: np.ndarray) -> Clustering:
+    """Clusters from the labels of the ascending point indices idx.
 
     Cluster i holds the points of the i-th smallest label, in index order.
     The indices are int32 whenever the cloud is small enough for that,
@@ -252,13 +250,12 @@ def _build_clustering(cloud: PointCloud, labels: np.ndarray) -> Clustering:
     """
     dtype = np.int32 if len(cloud) <= np.iinfo(np.int32).max else np.intp
     order = np.argsort(labels, kind="stable")
-    order = order[np.searchsorted(labels[order], 0):].astype(dtype)
-    groups = np.split(order, np.flatnonzero(np.diff(labels[order])) + 1) if order.size else []
-    clusters = [Cluster(idx, as_unit(cloud.normals[idx].mean(axis=0))) for idx in groups]
-    return Clustering(clusters, len(cloud))
+    groups = np.split(idx[order].astype(dtype), np.flatnonzero(np.diff(labels[order])) + 1)
+    clusters = [Cluster(g, as_unit(cloud.normals[g].mean(axis=0))) for g in groups]
+    return Clustering(clusters)
 
 
-def _kmeans_once(cols: np.ndarray, k: int, rng: np.random.Generator, cfg: PccConfig):
+def _kmeans_once(cols: np.ndarray, k: int, rng: np.random.Generator):
     """One k-means++ / Lloyd run over (d, N) feature columns; returns
     (assignment, within-cluster SSE).
 
@@ -266,7 +263,7 @@ def _kmeans_once(cols: np.ndarray, k: int, rng: np.random.Generator, cfg: PccCon
     point to the first of its nearest centers, the lowest index on ties as
     np.argmin gives.  At the assignment fixpoint the centers have not moved
     since that pass, so the SSE is the sum of its minimum distances; a run
-    cut off by kmeans_max_iter measures it against the last moved centers.
+    cut off by KMEANS_MAX_ITER measures it against the last moved centers.
     Cluster counts and centroid sums come from np.bincount, which adds each
     cluster's feature values in point order, as the per-cluster mean does.
     Like the order in _sqdist, this keeps the result bit-identical to a
@@ -274,7 +271,7 @@ def _kmeans_once(cols: np.ndarray, k: int, rng: np.random.Generator, cfg: PccCon
     """
     centers = _kmeans_pp_init(cols, k, rng)
     prev = None
-    for _ in range(cfg.kmeans_max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         d2 = _sqdist(cols, centers)
         # a running minimum down the k rows, strict < keeping the lowest
         # index on ties; on sweep-sized clouds it is faster than d2.argmin(0)
@@ -307,10 +304,10 @@ def _kmeans_once(cols: np.ndarray, k: int, rng: np.random.Generator, cfg: PccCon
 def kmeans_cluster(features: np.ndarray, k: int, cfg: PccConfig, cloud: PointCloud) -> Clustering:
     """Seeded k-means (k-means++ init) over the valid-normal points.
 
-    Runs Lloyd iterations to an assignment fixpoint (or kmeans_max_iter).
+    Runs Lloyd iterations to an assignment fixpoint (or KMEANS_MAX_ITER).
     A cluster that empties is re-seeded from the point currently farthest
-    from its own center.  Points flagged with invalid normals stay
-    unassigned (-1).  With kmeans_restarts > 1 the run with the smallest
+    from its own center.  Points flagged with invalid normals stay out of
+    every cluster.  With kmeans_restarts > 1 the run with the smallest
     within-cluster squared error wins (ties keep the earliest run).
     """
     vidx = np.flatnonzero(cloud.normal_ok)
@@ -320,12 +317,10 @@ def kmeans_cluster(features: np.ndarray, k: int, cfg: PccConfig, cloud: PointClo
     best_assign = None
     best_sse = math.inf
     for seed in np.random.SeedSequence(cfg.rng_seed).spawn(cfg.kmeans_restarts):
-        assign, sse = _kmeans_once(cols, k, np.random.default_rng(seed), cfg)
+        assign, sse = _kmeans_once(cols, k, np.random.default_rng(seed))
         if sse < best_sse:
             best_assign, best_sse = assign, sse
-    full = np.full(len(cloud), -1, dtype=int)
-    full[vidx] = best_assign
-    return _build_clustering(cloud, full)
+    return _build_clustering(cloud, vidx, best_assign)
 
 
 def merge_similar_clusters(clustering: Clustering, cfg: PccConfig, cloud: PointCloud) -> Clustering:
@@ -335,8 +330,10 @@ def merge_similar_clusters(clustering: Clustering, cfg: PccConfig, cloud: PointC
     recomputed from the union after each merge, so the result is a
     fixpoint (idempotent under re-application).
     """
+    # copies: k-means clusters' indices are views of one shared array, which
+    # the merged clustering would otherwise keep alive whole
     groups = [c.point_indices.copy() for c in clustering.clusters]
-    means = [c.mean_normal.copy() for c in clustering.clusters]
+    means = [c.mean_normal for c in clustering.clusters]
     while True:
         # the first close pair in row-major order merges, then rescan
         close = np.flatnonzero(pair_angles(means) < cfg.merge_angle_deg)
@@ -346,10 +343,7 @@ def merge_similar_clusters(clustering: Clustering, cfg: PccConfig, cloud: PointC
         groups[i] = np.sort(np.concatenate([groups[i], groups[j]]))
         means[i] = as_unit(cloud.normals[groups[i]].mean(axis=0))
         del groups[j], means[j]
-    full = np.full(len(cloud), -1, dtype=int)
-    for new_id, idx in enumerate(groups):
-        full[idx] = new_id
-    return _build_clustering(cloud, full)
+    return Clustering([Cluster(g, m) for g, m in zip(groups, means)])
 
 
 def object_matrix(clustering: Clustering) -> ConstraintMatrix:

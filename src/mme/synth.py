@@ -17,8 +17,11 @@ import numpy as np
 from .geometry import DegenerateInput, PointCloud, as_unit
 from .pcc import ConstraintMatrix
 
+#: distance from the turntable camera to the object's center, scene units
+CAMERA_DISTANCE = 3.0
+
 #: quoted sensor noise sigmas are converted to scene units with this factor
-#: (unit-sized objects at camera distance 3; calibrated so the benchmark's
+#: (unit-sized objects at CAMERA_DISTANCE; calibrated so the benchmark's
 #: reference error magnitudes are reproduced at sigma = 1e-5 .. 6e-5)
 DEPTH_SIGMA_SCALE = 400.0
 
@@ -44,11 +47,8 @@ class ViewSpec:
     view_index: int
     azimuth_deg: float
     elevation_deg: float
-    distance: float = 3.0
 
     def __post_init__(self):
-        if not self.distance > 0.0:
-            raise ValueError("distance must be positive")
         if not abs(self.elevation_deg) < 90.0:
             raise ValueError("elevation must be strictly between -90 and 90")
 
@@ -175,19 +175,19 @@ def get_object(name: str) -> ObjectSpec:
                    + ", ".join(o.name for o in builtin_objects()))
 
 
-def turntable_view(obj: ObjectSpec, view_index: int, count: int = 8, distance: float = 3.0) -> ViewSpec:
+def turntable_view(obj: ObjectSpec, view_index: int, count: int = 8) -> ViewSpec:
     """View poses evenly spaced in azimuth at the object's preferred elevation."""
     if not 1 <= view_index <= count:
         raise ValueError(f"view_index must be in 1..{count}")
     azimuth = obj.azimuth_offset_deg + (view_index - 1) * 360.0 / count
-    return ViewSpec(view_index, azimuth, obj.view_elevation_deg, distance)
+    return ViewSpec(view_index, azimuth, obj.view_elevation_deg)
 
 
 def camera_frame(view: ViewSpec) -> tuple[np.ndarray, np.ndarray]:
     """Camera origin and world-to-camera rotation (rows: right, up, forward)."""
     az = math.radians(view.azimuth_deg)
     el = math.radians(view.elevation_deg)
-    origin = view.distance * np.array([
+    origin = CAMERA_DISTANCE * np.array([
         math.cos(el) * math.cos(az),
         math.cos(el) * math.sin(az),
         math.sin(el),
@@ -222,7 +222,6 @@ def _inside_convex(points2, verts2, eps=1e-9) -> np.ndarray:
 def generate_view(
     obj: ObjectSpec,
     view: ViewSpec,
-    sampling_density: float | None = None,
     noise: NoiseSpec | None = None,
     rng_seed: int = 0,
 ) -> PointCloud:
@@ -234,8 +233,7 @@ def generate_view(
     Gaussian noise N(mu, sigma) in sensor units, scaled by
     DEPTH_SIGMA_SCALE, then displaces each point along its ray.
     """
-    density = obj.sampling_density if sampling_density is None else float(sampling_density)
-    if density <= 0.0:
+    if obj.sampling_density <= 0.0:
         raise ValueError("sampling_density must be positive")
     noise = noise or NoiseSpec()
     origin, rot = camera_frame(view)
@@ -249,7 +247,7 @@ def generate_view(
     if np.any(allv[:, 2] <= 0.0):
         raise DegenerateInput("object must lie entirely in front of the camera")
     proj = allv[:, :2] / allv[:, 2:3]
-    step = 1.0 / density
+    step = 1.0 / obj.sampling_density
     lo = proj.min(axis=0) - 0.5 * step
     hi = proj.max(axis=0) + 0.5 * step
     nu = max(int(math.ceil((hi[0] - lo[0]) / step)), 1)

@@ -376,9 +376,10 @@ def reference_similarity_reduction(model, observed, cfg) -> list[list[int]]:
     return candidates
 
 
-def assignment(clustering) -> np.ndarray:
-    """Per-point cluster index of a clustering, -1 for an unclustered point."""
-    out = np.full(clustering.point_count, -1, dtype=int)
+def assignment(clustering, n: int) -> np.ndarray:
+    """Per-point cluster index of a clustering over n points, -1 for an
+    unclustered point."""
+    out = np.full(n, -1, dtype=int)
     for ci, c in enumerate(clustering.clusters):
         out[c.point_indices] = ci
     return out

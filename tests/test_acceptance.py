@@ -249,7 +249,8 @@ def test_criterion_08_determinism(tmp_path, capsys):
 
     pcc = [run_pcc(n, obj.model_matrix, PccConfig(rng_seed=4)) for n in normals]
     if (pcc[0][0].mapping != pcc[1][0].mapping
-            or not np.array_equal(assignment(pcc[0][1]), assignment(pcc[1][1]))):
+            or not np.array_equal(assignment(pcc[0][1], len(normals[0])),
+                                   assignment(pcc[1][1], len(normals[1])))):
         problems.append("clustering")
 
     fits = []

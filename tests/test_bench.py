@@ -90,11 +90,10 @@ class TestLabelGroups:
         labels = np.repeat([0, 1, 2], [50, 3, 47])
         cloud = PointCloud(np.random.default_rng(0).normal(size=(100, 3)),
                            labels=labels)
-        groups, kept = label_groups(cloud, sample_size=5)
-        assert kept == [0, 2]
+        groups = label_groups(cloud, sample_size=5)
         assert [g.shape[0] for g in groups] == [50, 47]
         assert all(np.array_equal(cloud.labels[g], np.full(g.shape[0], lab))
-                   for g, lab in zip(groups, kept))
+                   for g, lab in zip(groups, [0, 2]))
 
 
 class TestRunCell:

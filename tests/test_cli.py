@@ -120,6 +120,17 @@ class TestFit:
         assert len(err) == 1 and err[0].startswith("error: "), err
         assert err[0].endswith("line 3: expected 4 columns (header: x y z label)"), err
 
+    def test_rows_after_the_matrix_exit_one_with_line(self, cube_files, tmp_path, capsys):
+        cloud, constraints = cube_files
+        bad = tmp_path / "long.constraints"
+        bad.write_text(constraints.read_text() + "1 2 3\nfoo bar\n")
+        capsys.readouterr()
+        code = run("fit", "--cloud", str(cloud), "--constraints", str(bad))
+        assert code == EXIT_INVALID
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert "line 8: unexpected data after the 3 matrix rows" in err[0], err
+
     def test_missing_file_exits_one(self, cube_files, capsys):
         _, constraints = cube_files
         code = run("fit", "--cloud", "/nonexistent.xyz", "--constraints",
@@ -339,6 +350,22 @@ class TestBadArguments:
         self.expect_one_error_line(code, capsys)
         assert not out.exists()
 
+    def test_unwritable_synth_output(self, tmp_path, capsys):
+        out = tmp_path / "absent" / "x.xyz"
+        code = run("synth", "--object", "cube", "-o", str(out))
+        self.expect_one_error_line(code, capsys)
+
+    def test_unwritable_bench_output_fails_before_the_sweep(self, tmp_path, capsys,
+                                                           monkeypatch):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr("mme.cli.run_experiment", no_sweep)
+        out = tmp_path / "absent" / "r.csv"
+        code = run("bench", "--methods", "iterative", "--objects", "cube", "--views", "1",
+                   "--repeats", "1", "--sigmas", "0", "-o", str(out))
+        self.expect_one_error_line(code, capsys)
+
     def test_config_value(self, tmp_path, capsys):
         cfg = tmp_path / "synth.cfg"
         cfg.write_text("view = 9\n")
@@ -368,6 +395,25 @@ class TestParser:
         with pytest.raises(SystemExit) as err:
             run("synth", "--object", "cube")  # no --output
         assert err.value.code == EXIT_INVALID
+
+    def test_closed_stdout_exits_zero_without_a_traceback(self, tmp_path):
+        # stdout is a pipe whose read end is already closed, so the first
+        # write to it fails with EPIPE, as after `mme ... | head -1` exits
+        import os
+        import subprocess
+        import sys
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            res = subprocess.run(
+                [sys.executable, "-m", "mme.cli", "synth", "--object", "cube",
+                 "-o", str(tmp_path / "m.xyz")],
+                stdout=write_end, stderr=subprocess.PIPE, text=True)
+        finally:
+            os.close(write_end)
+        assert res.returncode == EXIT_OK, res.stderr
+        assert res.stderr == ""
+        assert (tmp_path / "m.xyz").exists()
 
     def test_module_invocation(self, tmp_path):
         import subprocess

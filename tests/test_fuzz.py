@@ -12,6 +12,7 @@ keep it busy for minutes.
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -44,8 +45,8 @@ def good_files(tmp_path_factory):
     files = []
     for name, with_normals in (("cube", True), ("double_pyramid", False)):
         obj = get_object(name)
-        cloud = generate_view(obj, turntable_view(obj, 2), noise=NoiseSpec(0.0, 4e-5),
-                              rng_seed=3, sampling_density=40.0)
+        cloud = generate_view(replace(obj, sampling_density=40.0), turntable_view(obj, 2),
+                              noise=NoiseSpec(0.0, 4e-5), rng_seed=3)
         if with_normals:
             cloud = estimate_normals(cloud)
         write_cloud(tmp / f"{name}.xyz", cloud)

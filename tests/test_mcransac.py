@@ -108,8 +108,8 @@ class TestHypothesize:
     def test_one_plane_per_group_from_samples(self, rng):
         cloud, normals = two_plane_cloud(rng, n_per=50)
         groups = label_index_groups(cloud)
-        cfg = McRansacConfig(sample_size=4, rng_seed=11)
-        planes = hypothesize(groups, cloud, cfg)
+        planes = hypothesize(groups, cloud, McRansacConfig(sample_size=4),
+                             np.random.default_rng(11))
         assert len(planes) == 2
         for plane, g, n in zip(planes, groups, normals):
             assert plane.inliers.shape[0] == 4
@@ -120,13 +120,13 @@ class TestHypothesize:
     def test_small_group_raises(self, rng):
         cloud, _ = two_plane_cloud(rng, n_per=50)
         with pytest.raises(DegenerateInput):
-            hypothesize([np.array([0, 1])], cloud, McRansacConfig(sample_size=3))
+            hypothesize([np.array([0, 1])], cloud, McRansacConfig(sample_size=3), rng)
 
-    def test_collinear_group_raises(self):
+    def test_collinear_group_raises(self, rng):
         pts = np.outer(np.linspace(0, 1, 20), [1.0, 1.0, 0.0])
         cloud = PointCloud(pts)
         with pytest.raises(DegenerateInput):
-            hypothesize([np.arange(20)], cloud, McRansacConfig(sample_size=3))
+            hypothesize([np.arange(20)], cloud, McRansacConfig(sample_size=3), rng)
 
 
 class TestHypothesizeOracle:
@@ -174,9 +174,10 @@ class TestGrowInliers:
     def test_grows_to_full_groups_on_clean_data(self, rng):
         cloud, _ = two_plane_cloud(rng, n_per=60)
         groups = label_index_groups(cloud)
-        cfg = McRansacConfig(sample_size=3, min_eval_fraction=1.0, rng_seed=2)
-        planes = hypothesize(groups, cloud, cfg)
-        fit = grow_inliers(planes, groups, cloud, RIGHT_ANGLE, cfg)
+        cfg = McRansacConfig(sample_size=3, min_eval_fraction=1.0)
+        draws = np.random.default_rng(2)
+        planes = hypothesize(groups, cloud, cfg, draws)
+        fit = grow_inliers(planes, groups, cloud, RIGHT_ANGLE, cfg, draws)
         assert fit.total_inliers == len(cloud)
         assert fit.mean_residual < 1e-9
 

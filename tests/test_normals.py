@@ -20,14 +20,10 @@ def test_exact_plane_recovers_normal(rng):
 
 
 def test_normals_point_toward_viewpoint(rng):
-    # plane at z = -2, default viewpoint at the origin: normals must have +z
+    # plane at z = -2, the sensor at the origin: normals must have +z
     pts = planar_cloud(rng, 100, [0.0, 0.0, 1.0], offset=-2.0)
     out = estimate_normals(PointCloud(pts))
     assert (out.normals[:, 2] > 0).all()
-    # moving the viewpoint to the far side flips them
-    flipped = estimate_normals(
-        PointCloud(pts), NormalEstimationConfig(viewpoint=(0.0, 0.0, -10.0)))
-    assert (flipped.normals[:, 2] < 0).all()
 
 
 def test_synthetic_view_normals_match_faces():
@@ -37,7 +33,7 @@ def test_synthetic_view_normals_match_faces():
     out = estimate_normals(cloud, NormalEstimationConfig(k_neighbors=7))
     gt = face_normals_in_view(obj, view)
     # a visible face's outward normal points back toward the sensor, the
-    # same orientation estimate_normals picks via its viewpoint rule
+    # same orientation estimate_normals gives every normal
     dev = np.array([
         angle_between(out.normals[i], gt[cloud.labels[i]])
         for i in range(len(cloud)) if out.normal_ok[i]

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import planar_cloud
+from mme import pcc
 from mme.geometry import DegenerateInput, PointCloud, angle_between, as_unit
 from mme.normals import NormalEstimationConfig, estimate_normals
 from mme.pcc import (
@@ -111,6 +112,19 @@ class TestConstraintMatrix:
                                              r"\(1,3\)=70$"):
             read_constraint_matrix(path)
 
+    def test_read_rejects_data_after_the_matrix(self, tmp_path):
+        path = tmp_path / "long.constraints"
+        matrix = "3\n0 90 90\n90 0 90\n90 90 0\n"
+        path.write_text(matrix + "# trailing comment\n\n1 2 3\nfoo bar\n")
+        with pytest.raises(ValueError, match=r"line 7: unexpected data after the 3 matrix rows$"):
+            read_constraint_matrix(path)
+        path.write_text(matrix + "foo bar\n")
+        with pytest.raises(ValueError, match="line 5: "):
+            read_constraint_matrix(path)
+        # comments and blank lines after the matrix stay allowed
+        path.write_text(matrix + "\n# a note\n  \n")
+        assert read_constraint_matrix(path).size == 3
+
     def test_read_infinite_entries_warn_nothing(self, tmp_path):
         path = tmp_path / "inf.constraints"
         path.write_text("2\n0 inf\ninf 0\n")
@@ -182,7 +196,7 @@ class TestKmeans:
 
         one = kmeans_cluster(feats, 4, PccConfig(rng_seed=9), cloud)
         two = kmeans_cluster(feats, 4, PccConfig(rng_seed=9), cloud)
-        assert np.array_equal(assignment(one), assignment(two))
+        assert np.array_equal(assignment(one, len(cloud)), assignment(two, len(cloud)))
         multi = kmeans_cluster(feats, 4, PccConfig(rng_seed=9, kmeans_restarts=6), cloud)
         assert sse_of(multi) <= sse_of(one) + 1e-9
 
@@ -191,8 +205,8 @@ class TestKmeans:
         cloud.normal_ok[:10] = False
         feats = normalize_features(cloud)
         clustering = kmeans_cluster(feats, 3, PccConfig(rng_seed=0), cloud)
-        assert (assignment(clustering)[:10] == -1).all()
-        assert (assignment(clustering)[10:] >= 0).all()
+        assert (assignment(clustering, len(cloud))[:10] == -1).all()
+        assert (assignment(clustering, len(cloud))[10:] >= 0).all()
 
     def test_k_out_of_range(self, rng):
         cloud = blob_cloud(rng)
@@ -205,8 +219,6 @@ class TestKmeans:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             PccConfig(kmeans_restarts=0)
-        with pytest.raises(ValueError):
-            PccConfig(kmeans_max_iter=0)
         with pytest.raises(ValueError):
             PccConfig(cluster_surplus_fraction=-0.1)
         with pytest.raises(ValueError):
@@ -241,15 +253,15 @@ class TestKmeansOracle:
         usable = feats[cloud.normal_ok]
         cols = np.ascontiguousarray(usable.T)
         for seed in np.random.SeedSequence(cfg.rng_seed).spawn(cfg.kmeans_restarts):
-            assign, sse = _kmeans_once(cols, k, np.random.default_rng(seed), cfg)
+            assign, sse = _kmeans_once(cols, k, np.random.default_rng(seed))
             ref_assign, ref_sse, _ = reference_lloyd(usable, k, np.random.default_rng(seed),
-                                                     cfg.kmeans_max_iter)
+                                                     pcc.KMEANS_MAX_ITER)
             assert np.array_equal(assign, ref_assign)
             assert sse == ref_sse
         got = kmeans_cluster(feats, k, cfg, cloud)
         want, reseeds = reference_kmeans(feats, k, cloud.normal_ok, cfg.rng_seed,
-                                         cfg.kmeans_restarts, cfg.kmeans_max_iter)
-        assert np.array_equal(assignment(got), want)
+                                         cfg.kmeans_restarts, pcc.KMEANS_MAX_ITER)
+        assert np.array_equal(assignment(got, len(cloud)), want)
         assert len(got.clusters) == want.max() + 1
         for ci, c in enumerate(got.clusters):
             assert np.array_equal(c.point_indices, np.flatnonzero(want == ci))
@@ -284,16 +296,17 @@ class TestKmeansOracle:
             self.check(feats, 6, cloud, PccConfig(rng_seed=11, kmeans_restarts=restarts))
 
     @pytest.mark.parametrize("max_iter", [1, 2, 3])
-    def test_stops_before_the_fixpoint(self, max_iter):
-        # a run cut off by kmeans_max_iter measures its SSE against centers
+    def test_stops_before_the_fixpoint(self, max_iter, monkeypatch):
+        # a run cut off by KMEANS_MAX_ITER measures its SSE against centers
         # that moved after the last assignment pass
+        monkeypatch.setattr(pcc, "KMEANS_MAX_ITER", max_iter)
         rng = np.random.default_rng(40 + max_iter)
         for trial in range(10):
             n = int(rng.integers(30, 400))
             cloud = feature_cloud(rng, n)
             feats = rng.normal(size=(n, 6)) * rng.uniform(0.05, 3.0, size=6)
             self.check(feats, int(rng.integers(2, 9)), cloud,
-                       PccConfig(rng_seed=trial, kmeans_max_iter=max_iter, kmeans_restarts=2))
+                       PccConfig(rng_seed=trial, kmeans_restarts=2))
 
     def test_duplicated_points_force_reseed(self, rng):
         # three distinct rows repeated: k-means++ runs out of distinct points
@@ -311,17 +324,17 @@ class TestKmeansOracle:
         feats = rng.normal(size=(200, 6))
         self.check(feats, 4, cloud, PccConfig(rng_seed=2, kmeans_restarts=3))
         got = kmeans_cluster(feats, 4, PccConfig(rng_seed=2), cloud)
-        assert (assignment(got)[~cloud.normal_ok] == -1).all()
-        assert (assignment(got)[cloud.normal_ok] >= 0).all()
+        assert (assignment(got, len(cloud))[~cloud.normal_ok] == -1).all()
+        assert (assignment(got, len(cloud))[cloud.normal_ok] >= 0).all()
 
     def test_clusters_from_labels_with_gaps(self, rng):
         cloud = feature_cloud(rng, 120)
         labels = rng.choice([-1, 0, 2, 3, 7], size=120)
-        clustering = _build_clustering(cloud, labels)
-        assert np.array_equal(assignment(clustering), remap_labels(labels))
+        idx = np.flatnonzero(labels >= 0)
+        clustering = _build_clustering(cloud, idx, labels[idx])
+        assert np.array_equal(assignment(clustering, len(cloud)), remap_labels(labels))
         assert [c.size for c in clustering.clusters] == \
             [int(np.count_nonzero(labels == v)) for v in (0, 2, 3, 7)]
-        assert len(_build_clustering(cloud, np.full(120, -1)).clusters) == 0
 
 
 def tiny_clustering(cloud, groups):
@@ -329,7 +342,7 @@ def tiny_clustering(cloud, groups):
     for idx in groups:
         idx = np.asarray(idx, dtype=int)
         clusters.append(Cluster(idx, as_unit(cloud.normals[idx].mean(axis=0))))
-    return Clustering(clusters, len(cloud))
+    return Clustering(clusters)
 
 
 class TestMerge:
@@ -350,7 +363,7 @@ class TestMerge:
         merged = merge_similar_clusters(clustering, PccConfig(), cloud)
         assert len(merged.clusters) == 1
         assert merged.clusters[0].size == 80
-        assert (assignment(merged) == 0).all()
+        assert (assignment(merged, len(cloud)) == 0).all()
 
     def test_keeps_distinct(self, rng):
         cloud, clustering = self.make(rng, 15.0)
@@ -362,7 +375,7 @@ class TestMerge:
         once = merge_similar_clusters(clustering, PccConfig(), cloud)
         twice = merge_similar_clusters(once, PccConfig(), cloud)
         assert len(once.clusters) == len(twice.clusters)
-        assert np.array_equal(assignment(once), assignment(twice))
+        assert np.array_equal(assignment(once, len(cloud)), assignment(twice, len(cloud)))
 
 
     def test_matches_the_pairwise_scan(self, rng):
@@ -384,6 +397,10 @@ class TestMerge:
                                    nrm, PccConfig().merge_angle_deg)
         assert [c.point_indices.tolist() for c in merged.clusters] == \
             [g.tolist() for g in expected]
+        # merged means are the ones the merge computed, not a recomputation;
+        # they equal the mean over each cluster's points bit for bit
+        for c in merged.clusters:
+            assert np.array_equal(c.mean_normal, as_unit(nrm[c.point_indices].mean(axis=0)))
 
 
 class TestSimilarityReduction:

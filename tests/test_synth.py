@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from mme.geometry import DegenerateInput, PointCloud, angle_between
 from mme.synth import (
+    CAMERA_DISTANCE,
     CLOUD_LAYOUTS,
     NoiseSpec,
     ViewSpec,
@@ -76,15 +79,13 @@ class TestViews:
         view = ViewSpec(1, azimuth_deg=33.0, elevation_deg=25.0)
         origin, rot = camera_frame(view)
         assert np.allclose(rot @ rot.T, np.eye(3), atol=1e-12)
-        assert np.linalg.norm(origin) == pytest.approx(view.distance)
+        assert np.linalg.norm(origin) == pytest.approx(CAMERA_DISTANCE)
         # forward axis looks at the origin
         assert np.allclose(rot[2], -origin / np.linalg.norm(origin))
 
     def test_view_validation(self):
         with pytest.raises(ValueError):
             ViewSpec(1, 0.0, 95.0)
-        with pytest.raises(ValueError):
-            ViewSpec(1, 0.0, 10.0, distance=0.0)
         with pytest.raises(ValueError):
             NoiseSpec(sigma=-1.0)
 
@@ -94,8 +95,8 @@ class TestViews:
         with pytest.raises(ValueError):
             NoiseSpec(**kwargs)
 
-    @pytest.mark.parametrize("kwargs", [{"distance": float("nan")},
-                                        {"elevation_deg": float("nan")}])
+    @pytest.mark.parametrize("kwargs", [{"elevation_deg": float("nan")},
+                                        {"elevation_deg": float("inf")}])
     def test_view_rejects_nan(self, kwargs):
         with pytest.raises(ValueError):
             ViewSpec(**{"view_index": 1, "azimuth_deg": 0.0, "elevation_deg": 10.0, **kwargs})
@@ -163,11 +164,11 @@ class TestGenerateView:
     def test_density_scales_point_count(self):
         obj = get_object("cube")
         view = turntable_view(obj, 1)
-        lo = generate_view(obj, view, sampling_density=40.0)
-        hi = generate_view(obj, view, sampling_density=80.0)
+        lo = generate_view(replace(obj, sampling_density=40.0), view)
+        hi = generate_view(replace(obj, sampling_density=80.0), view)
         assert 3.0 < len(hi) / len(lo) < 5.0  # roughly quadratic in density
         with pytest.raises(ValueError):
-            generate_view(obj, view, sampling_density=0.0)
+            generate_view(replace(obj, sampling_density=0.0), view)
 
 
 class TestCloudFiles:
