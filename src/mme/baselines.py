@@ -58,10 +58,8 @@ def _ransac_single(
 
 
 def clustered_ransac(groups, cloud: PointCloud,
-                     cfg: RansacConfig | None = None) -> list[PlaneModel]:
+                     cfg: RansacConfig = RansacConfig()) -> list[PlaneModel]:
     """Independent RANSAC per pre-clustered group; no constraints involved."""
-    if cfg is None:
-        cfg = RansacConfig()
     seeds = np.random.SeedSequence(cfg.rng_seed).spawn(len(groups))
     return [
         _ransac_single(g, cloud, cfg, np.random.default_rng(seeds[gi]))
@@ -71,13 +69,11 @@ def clustered_ransac(groups, cloud: PointCloud,
 
 def iterative_ransac(
     cloud: PointCloud,
-    cfg: RansacConfig | None = None,
+    cfg: RansacConfig = RansacConfig(),
     min_inlier_fraction: float = 0.05,
 ) -> list[PlaneModel]:
     """Greedy sequential extraction: fit the dominant plane, remove its
     inliers, repeat until a plane explains too little of the cloud."""
-    if cfg is None:
-        cfg = RansacConfig()
     n = len(cloud)
     min_count = max(math.ceil(min_inlier_fraction * n), cfg.sample_size)
     seq = np.random.SeedSequence(cfg.rng_seed)

@@ -124,9 +124,12 @@ def _cmd_synth(args) -> int:
     obj = _checked(get_object, args.object)
     view = _checked(turntable_view, obj, args.view)
     noise = _checked(NoiseSpec, 0.0, args.sigma)
-    cloud = generate_view(obj, view, noise=noise, rng_seed=args.seed)
     out = Path(args.output)
+    if out.suffix.lower() == ".constraints":
+        raise CliError(f"-o {out}: the cloud would be overwritten by its constraint "
+                       "matrix, which is written alongside as NAME.constraints")
     constraints_path = out.with_suffix(".constraints")
+    cloud = generate_view(obj, view, noise=noise, rng_seed=args.seed)
     try:
         write_cloud(out, cloud, comments=(
             f"object={obj.name} view={view.view_index} azimuth={view.azimuth_deg:.9g} "

@@ -136,13 +136,14 @@ class PlaneModel:
         return np.abs(np.asarray(points, dtype=float) @ self.normal - self.offset)
 
 
-def fit_plane_lsq(points, indices=None) -> PlaneModel:
+def fit_plane_lsq(points, indices) -> PlaneModel:
     """Total-least-squares plane through >= 3 points.
 
     Minimizes the sum of squared orthogonal distances: the plane passes
     through the centroid with normal along the smallest principal axis of
     the centered covariance.  The normal is canonicalized so results do
     not depend on point order or eigensolver sign conventions.
+    ``indices`` name the points in their cloud and become the inliers.
 
     Raises DegenerateInput for < 3 points or (near-)collinear input.
     """
@@ -160,11 +161,7 @@ def fit_plane_lsq(points, indices=None) -> PlaneModel:
         raise DegenerateInput("points are collinear or coincident")
     normal = _canonical_normal(as_unit(evecs[:, 0]))
     offset = float(normal @ centroid)
-    if indices is None:
-        inliers = np.arange(pts.shape[0])
-    else:
-        inliers = np.asarray(indices, dtype=int)
-    return PlaneModel(normal, offset, inliers)
+    return PlaneModel(normal, offset, np.asarray(indices, dtype=int))
 
 
 def sample_plane(points, indices, sample_size: int, rng) -> PlaneModel:

@@ -125,25 +125,20 @@ def grow_inliers(
     the output contract, since the accepted sets depend on it.
     """
     planes = list(planes)
-    inliers = [list(map(int, p.inliers)) for p in planes]
     for gi, g in enumerate(groups):
         g = np.asarray(g, dtype=int)
-        rest = g[~np.isin(g, inliers[gi])]
+        rest = g[~np.isin(g, planes[gi].inliers)]
         n_eval = min(rest.shape[0], math.ceil(cfg.min_eval_fraction * g.shape[0]))
         order = rng.permutation(rest.shape[0])[:n_eval]
         for r in order:
-            candidate = int(rest[r])
-            trial_idx = inliers[gi] + [candidate]
-            trial_plane = fit_plane_lsq(cloud.points[trial_idx], indices=trial_idx)
+            trial_idx = np.append(planes[gi].inliers, rest[r])
+            trial_plane = fit_plane_lsq(cloud.points[trial_idx], trial_idx)
             trial_set = planes[:gi] + [trial_plane] + planes[gi + 1:]
             if check_constraints(trial_set, constraints, cfg.constraint_tolerance_deg,
                                  reference_directions):
                 planes[gi] = trial_plane
-                inliers[gi] = trial_idx
-    total = sum(len(ix) for ix in inliers)
-    residuals = np.concatenate([
-        planes[gi].distances(cloud.points[ix]) for gi, ix in enumerate(inliers)
-    ])
+    total = sum(p.inliers.shape[0] for p in planes)
+    residuals = np.concatenate([p.distances(cloud.points[p.inliers]) for p in planes])
     return MultiPlaneFit(planes, total, float(residuals.mean()))
 
 
@@ -151,7 +146,7 @@ def run_mcransac(
     groups,
     cloud: PointCloud,
     constraints: ConstraintMatrix,
-    cfg: McRansacConfig | None = None,
+    cfg: McRansacConfig = McRansacConfig(),
     reference_directions=None,
 ) -> MultiPlaneFit:
     """Hypothesize/check/grow loop keeping the best satisfying fit.
@@ -160,8 +155,6 @@ def run_mcransac(
     orthogonal residual and then on the earlier iteration.  Raises
     NoSatisfyingFit when no hypothesis set meets the constraints.
     """
-    if cfg is None:
-        cfg = McRansacConfig()
     groups = [np.asarray(g, dtype=int) for g in groups]
     if len(groups) != constraints.size:
         raise ValueError("need exactly one group per constraint row")

@@ -20,7 +20,8 @@ class NormalEstimationConfig:
             raise ValueError("k_neighbors must be at least 3")
 
 
-def estimate_normals(cloud: PointCloud, cfg: NormalEstimationConfig | None = None) -> PointCloud:
+def estimate_normals(cloud: PointCloud,
+                     cfg: NormalEstimationConfig = NormalEstimationConfig()) -> PointCloud:
     """Estimate a unit normal per point from its local neighborhood.
 
     Each point's neighborhood (itself plus its k nearest Euclidean
@@ -36,8 +37,6 @@ def estimate_normals(cloud: PointCloud, cfg: NormalEstimationConfig | None = Non
 
     Returns a new PointCloud sharing the input points and labels.
     """
-    if cfg is None:
-        cfg = NormalEstimationConfig()
     pts = cloud.points
     n = pts.shape[0]
     if n < cfg.k_neighbors + 1:

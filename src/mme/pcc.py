@@ -450,15 +450,13 @@ def tree_search(
 def run_pcc(
     cloud: PointCloud,
     model: ConstraintMatrix,
-    cfg: PccConfig | None = None,
+    cfg: PccConfig = PccConfig(),
 ) -> tuple[PccSolution, Clustering]:
     """Full clustering pipeline: features, k-means, merge, reduce, search.
 
     The cloud must carry normals (see normals.estimate_normals).  Returns
     the winning assignment together with the merged clustering it refers to.
     """
-    if cfg is None:
-        cfg = PccConfig()
     features = normalize_features(cloud)
     k = choose_k(model.size, cfg)
     usable = int(np.count_nonzero(cloud.normal_ok))

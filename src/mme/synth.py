@@ -222,7 +222,7 @@ def _inside_convex(points2, verts2, eps=1e-9) -> np.ndarray:
 def generate_view(
     obj: ObjectSpec,
     view: ViewSpec,
-    noise: NoiseSpec | None = None,
+    noise: NoiseSpec = NoiseSpec(),
     rng_seed: int = 0,
 ) -> PointCloud:
     """Ray-cast one camera view into a labeled camera-frame point cloud.
@@ -235,7 +235,6 @@ def generate_view(
     """
     if obj.sampling_density <= 0.0:
         raise ValueError("sampling_density must be positive")
-    noise = noise or NoiseSpec()
     origin, rot = camera_frame(view)
     cam_faces = []
     for f in obj.faces:

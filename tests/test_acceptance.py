@@ -317,7 +317,7 @@ def test_criterion_09_fit_optimality_and_equivariance():
     for _ in range(50):
         pts = planar_cloud(rng, 40, rng.normal(size=3), offset=rng.normal(),
                            jitter=0.05)
-        plane = fit_plane_lsq(pts)
+        plane = fit_plane_lsq(pts, np.arange(40))
         fitted = float(((pts @ plane.normal - plane.offset) ** 2).sum())
         centroid = pts.mean(axis=0)
         dirs = rng.normal(size=(1000, 3))
@@ -329,8 +329,8 @@ def test_criterion_09_fit_optimality_and_equivariance():
     for _ in range(20):
         pts = planar_cloud(rng, 50, rng.normal(size=3), jitter=0.02)
         rot = random_rotation(rng)
-        before = fit_plane_lsq(pts)
-        after = fit_plane_lsq(pts @ rot.T + rng.normal(size=3))
+        before = fit_plane_lsq(pts, np.arange(50))
+        after = fit_plane_lsq(pts @ rot.T + rng.normal(size=3), np.arange(50))
         moved = rot @ before.normal
         worst_angle = max(worst_angle, float(np.degrees(np.arctan2(
             np.linalg.norm(np.cross(after.normal, moved)),

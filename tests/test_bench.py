@@ -53,8 +53,8 @@ class TestConstraintError:
             constraint_error_from_angles([1.0], [1.0, 2.0])
 
     def test_planes_against_matrix(self, rng):
-        p = fit_plane_lsq(planar_cloud(rng, 30, [0.0, 0.0, 1.0]))
-        q = fit_plane_lsq(planar_cloud(rng, 30, [1.0, 0.0, 0.0], offset=1.0))
+        p = fit_plane_lsq(planar_cloud(rng, 30, [0.0, 0.0, 1.0]), np.arange(30))
+        q = fit_plane_lsq(planar_cloud(rng, 30, [1.0, 0.0, 0.0], offset=1.0), np.arange(30))
         gamma, rho = constraint_error([p, q], ConstraintMatrix(
             np.array([[0.0, 88.0], [88.0, 0.0]])))
         assert gamma == pytest.approx(2.0, abs=1e-9)
@@ -62,16 +62,16 @@ class TestConstraintError:
 
     def test_obtuse_matrix_uses_references(self, rng):
         rad = np.radians(135.0)
-        p = fit_plane_lsq(planar_cloud(rng, 30, [0.0, 0.0, 1.0]))
+        p = fit_plane_lsq(planar_cloud(rng, 30, [0.0, 0.0, 1.0]), np.arange(30))
         q = fit_plane_lsq(planar_cloud(rng, 30, [np.sin(rad), 0.0, np.cos(rad)],
-                                       offset=1.0))
+                                       offset=1.0), np.arange(30))
         model = ConstraintMatrix(np.array([[0.0, 135.0], [135.0, 0.0]]))
         refs = np.array([[0.0, 0.0, 1.0], [np.sin(rad), 0.0, np.cos(rad)]])
         gamma, _ = constraint_error([p, q], model, refs)
         assert gamma == pytest.approx(0.0, abs=1e-9)
 
     def test_single_plane_is_zero(self, rng):
-        p = fit_plane_lsq(planar_cloud(rng, 20, [0.0, 0.0, 1.0]))
+        p = fit_plane_lsq(planar_cloud(rng, 20, [0.0, 0.0, 1.0]), np.arange(20))
         assert constraint_error([p], ConstraintMatrix(np.array([[0.0]]))) == (0.0, 0.0)
 
 

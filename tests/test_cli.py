@@ -350,6 +350,13 @@ class TestBadArguments:
         self.expect_one_error_line(code, capsys)
         assert not out.exists()
 
+    @pytest.mark.parametrize("name", ["cube.constraints", "cube.Constraints"])
+    def test_synth_output_named_like_its_constraints(self, tmp_path, capsys, name):
+        # the cloud and its NAME.constraints sibling would be one file
+        code = run("synth", "--object", "cube", "-o", str(tmp_path / name))
+        self.expect_one_error_line(code, capsys)
+        assert not any(tmp_path.iterdir())
+
     def test_unwritable_synth_output(self, tmp_path, capsys):
         out = tmp_path / "absent" / "x.xyz"
         code = run("synth", "--object", "cube", "-o", str(out))

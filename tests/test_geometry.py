@@ -31,7 +31,7 @@ class TestFitPlaneLsq:
     def test_exact_on_planar_points(self, rng):
         normal = as_unit([0.3, -0.5, 0.8])
         pts = planar_cloud(rng, 60, normal, offset=0.7)
-        plane = fit_plane_lsq(pts)
+        plane = fit_plane_lsq(pts, np.arange(60))
         assert angle_between(plane.normal, canonical_normal(normal)) < 1e-6
         assert plane.distances(pts).max() < 1e-12
 
@@ -41,7 +41,7 @@ class TestFitPlaneLsq:
         for _ in range(50):
             pts = planar_cloud(rng, 40, rng.normal(size=3), offset=rng.normal(),
                                jitter=0.05)
-            plane = fit_plane_lsq(pts)
+            plane = fit_plane_lsq(pts, np.arange(40))
             centroid = pts.mean(axis=0)
             fitted = sse(pts, plane.normal, plane.offset)
             dirs = rng.normal(size=(1000, 3))
@@ -55,8 +55,8 @@ class TestFitPlaneLsq:
             pts = planar_cloud(rng, 50, rng.normal(size=3), jitter=0.02)
             rot = random_rotation(rng)
             shift = rng.normal(size=3)
-            before = fit_plane_lsq(pts)
-            after = fit_plane_lsq(pts @ rot.T + shift)
+            before = fit_plane_lsq(pts, np.arange(50))
+            after = fit_plane_lsq(pts @ rot.T + shift, np.arange(50))
             moved = rot @ before.normal
             # arctan2 of cross/|dot| resolves angles far below the arccos
             # quantization floor and is orientation-free
@@ -66,7 +66,7 @@ class TestFitPlaneLsq:
 
     def test_inlier_bookkeeping(self, rng):
         pts = planar_cloud(rng, 12, [0, 0, 1.0])
-        plane = fit_plane_lsq(pts)
+        plane = fit_plane_lsq(pts, np.arange(12))
         assert np.array_equal(plane.inliers, np.arange(12))
         idx = np.array([5, 9, 11, 40])
         plane = fit_plane_lsq(pts[:4], indices=idx)
@@ -74,12 +74,12 @@ class TestFitPlaneLsq:
 
     def test_rejects_degenerate_input(self):
         with pytest.raises(DegenerateInput):
-            fit_plane_lsq(np.zeros((2, 3)))
+            fit_plane_lsq(np.zeros((2, 3)), np.arange(2))
         line = np.outer(np.linspace(0, 1, 10), [1.0, 2.0, 3.0])
         with pytest.raises(DegenerateInput):
-            fit_plane_lsq(line)
+            fit_plane_lsq(line, np.arange(10))
         with pytest.raises(DegenerateInput):
-            fit_plane_lsq(np.ones((5, 2)))
+            fit_plane_lsq(np.ones((5, 2)), np.arange(5))
 
 
 class TestAngles:

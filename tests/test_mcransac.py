@@ -53,8 +53,8 @@ class TestCheckConstraints:
         rad = np.radians(angle_deg)
         n1 = np.array([np.sin(rad), 0.0, np.cos(rad)])
         return [
-            fit_plane_lsq(planar_cloud(rng, 30, n0)),
-            fit_plane_lsq(planar_cloud(rng, 30, n1, offset=1.0)),
+            fit_plane_lsq(planar_cloud(rng, 30, n0), np.arange(30)),
+            fit_plane_lsq(planar_cloud(rng, 30, n1, offset=1.0), np.arange(30)),
         ]
 
     def test_within_and_outside_tolerance(self, rng):
@@ -65,7 +65,7 @@ class TestCheckConstraints:
 
     def test_acute_entries_ignore_orientation(self, rng):
         planes = self.planes(90.0, rng)
-        flipped = [planes[0], fit_plane_lsq(planar_cloud(rng, 30, [-np.sin(np.pi / 2), 0, -np.cos(np.pi / 2)], offset=1.0))]
+        flipped = [planes[0], fit_plane_lsq(planar_cloud(rng, 30, [-np.sin(np.pi / 2), 0, -np.cos(np.pi / 2)], offset=1.0), np.arange(30))]
         assert check_constraints(flipped, RIGHT_ANGLE, 2.0)
 
     def test_obtuse_entries_need_references(self, rng):
