@@ -32,7 +32,7 @@ from .mcransac import (
     run_mcransac,
 )
 from .normals import NormalEstimationConfig, estimate_normals
-from .pcc import ConstraintMatrix, NoSolution, PccConfig, run_pcc
+from .pcc import Clustering, ConstraintMatrix, NoSolution, PccConfig, PccSolution, run_pcc
 from .synth import NoiseSpec, generate_view, face_normals_in_view, get_object, turntable_view
 
 logger = logging.getLogger(__name__)
@@ -71,11 +71,6 @@ BENCH_BASELINE = RansacConfig(iterations=3, sample_size=3)
 
 #: minimum cloud fraction a plane must explain to keep iterating
 BENCH_ITERATIVE_MIN_FRACTION = 0.01
-
-#: ground-truth label groups smaller than this fraction of the cloud are
-#: not fitted by `mme fit --method clustered` (grazing slivers); the
-#: sweep's clustered baseline takes its groups from PCC instead
-MIN_GROUP_FRACTION = 0.02
 
 
 @dataclass(frozen=True)
@@ -126,28 +121,25 @@ def _derive_seed(*parts) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
-def label_groups(cloud, sample_size: int):
-    """Ground-truth label groups large enough to fit, ascending by label."""
-    min_size = max(sample_size, int(np.ceil(MIN_GROUP_FRACTION * len(cloud))))
-    groups = [np.flatnonzero(cloud.labels == lab) for lab in np.unique(cloud.labels)]
-    return [g for g in groups if g.shape[0] >= min_size]
+def mapped_groups(solution: PccSolution, clustering: Clustering, model: ConstraintMatrix):
+    """The point groups of the mapped model planes, their reference
+    directions (the clusters' stored mean normals) and the model over those
+    planes, all in model-plane order."""
+    mapped = [clustering.clusters[c] for c in solution.mapping if c is not None]
+    refs = np.array([c.mean_normal for c in mapped])
+    return [c.point_indices for c in mapped], refs, restrict_constraints(model, solution)
 
 
 def pcc_stage(cloud, model: ConstraintMatrix, normal_cfg: NormalEstimationConfig,
               pcc_cfg: PccConfig):
     """The clustering front end of the group-based fits.
 
-    Estimates normals, runs PCC, and returns (the cloud with normals, the
-    point groups of the mapped model planes, their reference directions,
-    the model over those planes), all in model-plane order.  A group's
-    reference direction is its cluster's stored mean normal.
+    Estimates normals, runs PCC, and returns the cloud with normals
+    followed by the mapped groups, references and model of mapped_groups.
     """
     cloud = estimate_normals(cloud, normal_cfg)
     solution, clustering = run_pcc(cloud, model, pcc_cfg)
-    mapped = [clustering.clusters[c] for c in solution.mapping if c is not None]
-    sub = restrict_constraints(model, solution)
-    refs = np.array([c.mean_normal for c in mapped])
-    return cloud, [c.point_indices for c in mapped], refs, sub
+    return (cloud, *mapped_groups(solution, clustering, model))
 
 
 def _folded_angles(a, b) -> np.ndarray:

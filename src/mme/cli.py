@@ -18,7 +18,7 @@ from .baselines import RansacConfig, clustered_ransac, iterative_ransac
 from .bench import (
     METHODS,
     constraint_error,
-    label_groups,
+    mapped_groups,
     pcc_stage,
     results_csv,
     run_experiment,
@@ -27,7 +27,8 @@ from .bench import (
 from .geometry import DegenerateInput
 from .mcransac import McRansacConfig, NoSatisfyingFit, run_mcransac
 from .normals import NormalEstimationConfig
-from .pcc import NoSolution, PccConfig, read_constraint_matrix, write_constraint_matrix
+from .pcc import (Cluster, Clustering, NoSolution, PccConfig, assign_clusters,
+                  read_constraint_matrix, write_constraint_matrix)
 from .synth import (
     NoiseSpec,
     builtin_objects,
@@ -161,10 +162,10 @@ def _open_output(path: Path):
 
 def _cmd_fit(args) -> int:
     seed = args.seed
+    normal_cfg = _checked(NormalEstimationConfig, k_neighbors=args.k_neighbors)
+    pcc_cfg = _checked(PccConfig, constraint_tolerance_deg=args.pcc_tolerance,
+                       rng_seed=seed)
     if args.method == "mme":
-        normal_cfg = _checked(NormalEstimationConfig, k_neighbors=args.k_neighbors)
-        pcc_cfg = _checked(PccConfig, constraint_tolerance_deg=args.pcc_tolerance,
-                           rng_seed=seed)
         cfg = _checked(McRansacConfig, iterations=args.iterations,
                        sample_size=args.sample_size,
                        constraint_tolerance_deg=args.tolerance, rng_seed=seed)
@@ -175,34 +176,32 @@ def _cmd_fit(args) -> int:
     cloud = _load(read_cloud, args.cloud, "cloud")
     constraints = _load(read_constraint_matrix, args.constraints, "constraints")
 
-    if args.method == "mme":
-        try:
-            cloud, groups, refs, sub = pcc_stage(cloud, constraints, normal_cfg, pcc_cfg)
-            planes = run_mcransac(groups, cloud, sub, cfg, reference_directions=refs).planes
-        except NoSolution as exc:
-            print(f"no admissible assignment: {exc}", file=sys.stderr)
-            return EXIT_NO_FIT
-        except NoSatisfyingFit as exc:
-            print(f"no constraint-satisfying fit: {exc}", file=sys.stderr)
-            return EXIT_NO_FIT
-        gamma, rho = constraint_error(planes, sub, refs)
-    else:
-        if args.method == "clustered":
-            if cloud.labels is None:
-                raise CliError("clustered fitting needs a labelled cloud (label column)")
-            groups = label_groups(cloud, cfg.sample_size)
-            if not groups:
-                raise CliError("no labelled group is large enough to fit")
-            planes = clustered_ransac(groups, cloud, cfg)
-        else:  # iterative
-            planes = iterative_ransac(cloud, cfg)
-            if not planes:
+    try:
+        if args.method == "iterative":
+            # each plane is a cluster of its inliers, its normal turned
+            # toward the sensor at the origin as estimated normals are
+            found = iterative_ransac(cloud, cfg)
+            if not found:
                 print("no plane found", file=sys.stderr)
                 return EXIT_NO_FIT
-        if len(planes) == constraints.size:
-            gamma, rho = constraint_error(planes, constraints)
+            clusters = Clustering([Cluster(p.inliers, -p.normal if p.offset > 0 else p.normal)
+                                   for p in found])
+            solution = assign_clusters(clusters, constraints, pcc_cfg)
+            _, refs, sub = mapped_groups(solution, clusters, constraints)
+            planes = [found[c] for c in solution.mapping if c is not None]
         else:
-            gamma, rho = float("nan"), float("nan")
+            cloud, groups, refs, sub = pcc_stage(cloud, constraints, normal_cfg, pcc_cfg)
+            if args.method == "mme":
+                planes = run_mcransac(groups, cloud, sub, cfg, reference_directions=refs).planes
+            else:
+                planes = clustered_ransac(groups, cloud, cfg)
+    except NoSolution as exc:
+        print(f"no admissible assignment: {exc}", file=sys.stderr)
+        return EXIT_NO_FIT
+    except NoSatisfyingFit as exc:
+        print(f"no constraint-satisfying fit: {exc}", file=sys.stderr)
+        return EXIT_NO_FIT
+    gamma, rho = constraint_error(planes, sub, refs)
     inliers = sum(p.inliers.shape[0] for p in planes)
     print(f"planes={len(planes)} gamma={gamma:.6f} rho={rho:.6f} "
           f"inliers={inliers}/{len(cloud)}")

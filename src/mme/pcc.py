@@ -447,6 +447,15 @@ def tree_search(
     return PccSolution(best_mapping, best_total)
 
 
+def assign_clusters(clustering: Clustering, model: ConstraintMatrix, cfg: PccConfig) -> PccSolution:
+    """Map clusters onto model planes from their mean normals alone:
+    the cluster angle matrix, similarity reduction, then the tree search."""
+    observed = object_matrix(clustering)
+    candidates = similarity_reduction(model, observed, cfg)
+    sizes = [c.size for c in clustering.clusters]
+    return tree_search(model, observed, candidates, sizes, cfg)
+
+
 def run_pcc(
     cloud: PointCloud,
     model: ConstraintMatrix,
@@ -467,11 +476,7 @@ def run_pcc(
         k = usable
     clustering = kmeans_cluster(features, k, cfg, cloud)
     merged = merge_similar_clusters(clustering, cfg, cloud)
-    observed = object_matrix(merged)
-    candidates = similarity_reduction(model, observed, cfg)
-    sizes = [c.size for c in merged.clusters]
-    solution = tree_search(model, observed, candidates, sizes, cfg)
-    return solution, merged
+    return assign_clusters(merged, model, cfg), merged
 
 
 def solution_groups(solution: PccSolution, clustering: Clustering) -> list[np.ndarray]:

@@ -19,14 +19,13 @@ from mme.bench import (
     _derive_seed,
     constraint_error,
     constraint_error_from_angles,
-    label_groups,
     pcc_stage,
     results_csv,
     run_cell,
     summarize,
     summary_csv,
 )
-from mme.geometry import DegenerateInput, PointCloud, as_unit, fit_plane_lsq
+from mme.geometry import DegenerateInput, as_unit, fit_plane_lsq
 from mme.mcransac import NoSatisfyingFit, restrict_constraints
 from mme.normals import NormalEstimationConfig
 from mme.pcc import ConstraintMatrix, NoSolution, PccConfig, run_pcc, solution_groups
@@ -83,17 +82,6 @@ class TestSeeding:
         assert a != _derive_seed(1, "cube", "1e-05", 1, 0)
         assert a != _derive_seed(0, "cube", "1e-05", 1, 0, "mme")
         assert 0 <= a < 2 ** 64
-
-
-class TestLabelGroups:
-    def test_filters_small_groups(self):
-        labels = np.repeat([0, 1, 2], [50, 3, 47])
-        cloud = PointCloud(np.random.default_rng(0).normal(size=(100, 3)),
-                           labels=labels)
-        groups = label_groups(cloud, sample_size=5)
-        assert [g.shape[0] for g in groups] == [50, 47]
-        assert all(np.array_equal(cloud.labels[g], np.full(g.shape[0], lab))
-                   for g, lab in zip(groups, [0, 2]))
 
 
 class TestRunCell:

@@ -7,6 +7,7 @@ import pytest
 
 from mme import bench
 from mme.cli import EXIT_INVALID, EXIT_NO_FIT, EXIT_OK, main
+from mme.geometry import pair_angles
 from mme.pcc import NoSolution
 from mme.synth import read_cloud
 
@@ -22,6 +23,23 @@ def cube_files(tmp_path):
                "--seed", "5", "-o", str(out))
     assert code == EXIT_OK
     return out, out.with_suffix(".constraints")
+
+
+def synth_files(tmp_path, name: str, view: int) -> list[str]:
+    """The fit flags for a README-noise view of a built-in object."""
+    out = tmp_path / f"{name}_{view}.xyz"
+    assert run("synth", "--object", name, "--view", str(view), "--sigma", "4e-5",
+               "--seed", "7", "-o", str(out)) == EXIT_OK
+    return ["--cloud", str(out), "--constraints", str(out.with_suffix(".constraints"))]
+
+
+def fit_output(out: str) -> tuple[float, list[np.ndarray]]:
+    """The gamma and the plane normals that `mme fit` printed."""
+    lines = out.splitlines()
+    gamma = float(lines[0].split("gamma=")[1].split()[0])
+    normals = [np.array(l.split("normal=(")[1].split(")")[0].split(","), dtype=float)
+               for l in lines[1:] if l.startswith("# plane")]
+    return gamma, normals
 
 
 class TestSynth:
@@ -80,17 +98,40 @@ class TestFit:
         assert code == EXIT_NO_FIT
         assert capsys.readouterr().err != ""
 
-    def test_clustered_needs_labels(self, cube_files, tmp_path, capsys):
+    def test_clustered_fits_an_unlabelled_cloud(self, cube_files, tmp_path, capsys):
+        # clustered RANSAC fits the PCC groups, so it needs no label column
         cloud_path, constraints = cube_files
-        cloud = read_cloud(cloud_path)
         stripped = tmp_path / "unlabelled.xyz"
         from mme.synth import write_cloud
         from mme.geometry import PointCloud
-        write_cloud(stripped, PointCloud(cloud.points))
+        write_cloud(stripped, PointCloud(read_cloud(cloud_path).points))
+        capsys.readouterr()
         code = run("fit", "--cloud", str(stripped), "--constraints", str(constraints),
                    "--method", "clustered")
-        assert code == EXIT_INVALID
-        assert "label" in capsys.readouterr().err
+        assert code == EXIT_OK
+        assert capsys.readouterr().out.startswith("planes=3 gamma=")
+
+    def test_iterative_planes_are_mapped_one_per_face(self, tmp_path, capsys):
+        # greedy extraction puts two planes on one face of this view; the
+        # assignment keeps the larger one and scores it against its own row
+        files = synth_files(tmp_path, "cube", 1)
+        capsys.readouterr()
+        code = run("fit", *files, "--method", "iterative", "--distance-threshold", "0.02",
+                   "--seed", "7")
+        assert code == EXIT_OK
+        gamma, normals = fit_output(capsys.readouterr().out)
+        assert gamma < 2.0
+        angles = pair_angles(normals)
+        folded = np.minimum(angles, 180.0 - angles)
+        assert len(normals) >= 2 and folded.min() > 10.0, folded
+
+    def test_clustered_scores_a_partial_mapping(self, tmp_path, capsys):
+        # four of the double pyramid's model planes are mapped on this view
+        files = synth_files(tmp_path, "double_pyramid", 1)
+        capsys.readouterr()
+        assert run("fit", *files, "--method", "clustered", "--seed", "7") == EXIT_OK
+        gamma, _ = fit_output(capsys.readouterr().out)
+        assert np.isfinite(gamma)
 
     def test_malformed_constraints_exit_one_with_line(self, cube_files, tmp_path, capsys):
         cloud, _ = cube_files

@@ -62,9 +62,14 @@ def test_version_and_synth_skip_scipy(tmp_path):
         == (EXIT_OK, False)
 
 
-@pytest.mark.parametrize("method", ["iterative", "clustered"])
+@pytest.mark.parametrize("method", ["iterative"])
 def test_baseline_fits_skip_scipy(cube, method):
     assert fresh_main("fit", *cube, "--method", method) == (EXIT_OK, False)
+
+
+def test_clustered_fit_loads_scipy(cube):
+    # clustered RANSAC fits the PCC groups, which need estimated normals
+    assert fresh_main("fit", *cube, "--method", "clustered") == (EXIT_OK, True)
 
 
 def test_rejected_fit_skips_scipy(cube):

@@ -21,6 +21,7 @@ from mme.pcc import (
     _build_clustering,
     _kmeans_once,
     _sqdist,
+    assign_clusters,
     choose_k,
     kmeans_cluster,
     merge_similar_clusters,
@@ -536,6 +537,22 @@ class TestTreeSearch:
             assert got == expected
             checked += 1
         assert checked == 100
+
+
+class TestAssignClusters:
+    def test_drops_a_near_duplicate_face(self):
+        # the three faces of a cube corner, and a smaller cluster 1 degree
+        # off face 0 that no model plane can take beside it
+        tilt = np.radians(1.0)
+        normals = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0],
+                   [np.cos(tilt), np.sin(tilt), 0.0]]
+        sizes = [500, 400, 300, 100]
+        starts = np.cumsum([0] + sizes)
+        clustering = Clustering([Cluster(np.arange(a, b), as_unit(np.array(n)))
+                                 for a, b, n in zip(starts, starts[1:], normals)])
+        solution = assign_clusters(clustering, get_object("cube").model_matrix, PccConfig())
+        assert solution.mapping == (0, 1, 2)
+        assert solution.total_points == 1200
 
 
 class TestRunPcc:
