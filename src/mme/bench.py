@@ -15,14 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .baselines import RansacConfig, clustered_ransac, iterative_ransac
-from .geometry import (
-    DegenerateInput,
-    angle_deviation,
-    angles,
-    oriented_normals,
-    pair_angles,
-    upper_pairs,
-)
+from .geometry import DegenerateInput, angle_deviation, angles
 from .mcransac import (
     McRansacConfig,
     NoSatisfyingFit,
@@ -32,7 +25,8 @@ from .mcransac import (
     run_mcransac,
 )
 from .normals import NormalEstimationConfig, estimate_normals
-from .pcc import Clustering, ConstraintMatrix, NoSolution, PccConfig, PccSolution, run_pcc
+from .pcc import (Cluster, Clustering, ConstraintMatrix, NoSolution, PccConfig, PccSolution,
+                  assign_clusters, run_pcc)
 from .synth import NoiseSpec, generate_view, face_normals_in_view, get_object, turntable_view
 
 logger = logging.getLogger(__name__)
@@ -142,25 +136,38 @@ def pcc_stage(cloud, model: ConstraintMatrix, normal_cfg: NormalEstimationConfig
     return (cloud, *mapped_groups(solution, clustering, model))
 
 
+class NoPlaneFound(DegenerateInput):
+    """Iterative RANSAC found no plane that explains enough of the cloud."""
+
+
+def iterative_stage(cloud, model: ConstraintMatrix, cfg: RansacConfig, pcc_cfg: PccConfig,
+                    **options):
+    """The iterative baseline, its planes mapped onto the model as the
+    clusters of pcc_stage are.
+
+    Runs iterative_ransac (options such as min_inlier_fraction are passed
+    on) and makes each plane a cluster of its inliers, its normal turned
+    toward the sensor at the origin as estimated normals are.  Returns the
+    planes that assign_clusters mapped, followed by the groups, references
+    and model of mapped_groups, all in model-plane order.
+    """
+    if len(cloud) < cfg.sample_size:
+        raise DegenerateInput(f"{len(cloud)} points cannot seed a sample of {cfg.sample_size}")
+    found = iterative_ransac(cloud, cfg, **options)
+    if not found:
+        raise NoPlaneFound("no plane found")
+    clustering = Clustering([Cluster(p.inliers, -p.normal if p.offset > 0 else p.normal)
+                             for p in found])
+    solution = assign_clusters(clustering, model, pcc_cfg)
+    planes = [found[c] for c in solution.mapping if c is not None]
+    return (planes, *mapped_groups(solution, clustering, model))
+
+
 def _folded_angles(a, b) -> np.ndarray:
     """Angles between the unit vectors of a and b, folded onto [0, 90] so
     the sign of either cannot matter."""
     ang = angles(a, b)
     return np.minimum(ang, 180.0 - ang)
-
-
-def _face_pair_angles(planes, gt, faces) -> tuple[np.ndarray, np.ndarray]:
-    """Fitted and true dihedral angles over the plane pairs that cover
-    different faces; ``faces[i]`` is the face index of plane i in gt."""
-    faces = np.asarray(faces, dtype=int)
-    normals = oriented_normals(np.array([p.normal for p in planes]), gt[faces])
-    i, j = upper_pairs(len(planes))
-    apart = faces[i] != faces[j]
-    return pair_angles(normals)[apart], pair_angles(gt[faces])[apart]
-
-
-def _majority_faces(cloud, groups) -> list[int]:
-    return [int(np.bincount(cloud.labels[g]).argmax()) for g in groups]
 
 
 class _ConstraintViolation(RuntimeError):
@@ -171,63 +178,20 @@ class _ConstraintViolation(RuntimeError):
 _FAILURES = {NoSolution: "no_solution", NoSatisfyingFit: "no_fit",
              DegenerateInput: "degenerate", _ConstraintViolation: "constraint_violation"}
 
-# The fitters below take the scene's cloud, the PCC stage (None for the
-# iterative baseline, which clusters nothing), the true face normals of the
-# view and the method seed.  Each returns (planes, the face index of each
-# plane, (gamma, rho)) or raises one of the _FAILURES.
-
-
-def _fit_mme(cloud, stage, gt, method_seed: int):
-    cloud, groups, refs, sub = stage
-    cfg = replace(BENCH_MCR, sample_size=_bench_sample_size(len(groups)),
-                  rng_seed=_derive_seed(method_seed, "mcr"))
-    planes = run_mcransac(groups, cloud, sub, cfg, reference_directions=refs).planes
-    # independent re-check of the returned fit against its constraints
-    if not check_constraints(planes, sub, cfg.constraint_tolerance_deg, refs):
-        raise _ConstraintViolation
-    return planes, _majority_faces(cloud, groups), constraint_error(planes, sub, refs)
-
-
-def _fit_clustered(cloud, stage, gt, method_seed: int):
-    """Same clustering as the constraint-checked method, but each group is
-    fitted by plain RANSAC with no inter-plane coupling.
-
-    The fit knows nothing about the model, so its angle error is judged
-    against the true dihedrals of the faces each group actually covers;
-    under a correct assignment those equal the model entries.
-    """
-    cloud, groups, _, _ = stage
-    cfg = replace(BENCH_BASELINE, rng_seed=_derive_seed(method_seed, "ransac"))
-    planes = clustered_ransac(groups, cloud, cfg)
-    faces = _majority_faces(cloud, groups)
-    return planes, faces, constraint_error_from_angles(*_face_pair_angles(planes, gt, faces))
-
-
-def _fit_iterative(cloud, stage, gt, method_seed: int):
-    """Each plane is judged against the face nearest to it up to sign."""
-    cfg = replace(BENCH_BASELINE, rng_seed=method_seed)
-    planes = iterative_ransac(cloud, cfg, min_inlier_fraction=BENCH_ITERATIVE_MIN_FRACTION)
-    if not planes:
-        raise DegenerateInput("no plane found")
-    faces = _folded_angles(np.array([p.normal for p in planes])[:, None], gt).argmin(axis=1)
-    measured, model = _face_pair_angles(planes, gt, faces)
-    if not measured.size:
-        return planes, faces, (float("nan"), float("nan"))
-    return planes, faces, constraint_error_from_angles(measured, model)
-
-
-_FITTERS = {"mme": _fit_mme, "clustered": _fit_clustered, "iterative": _fit_iterative}
-
 
 def run_cell(method: str, object_name: str, sigma: float, view_index: int,
              repeat: int, seed: int) -> CellResult:
     """Run one sweep cell; scene seeds ignore the method so every method
     sees the identical scene for a given (object, sigma, view, repeat).
 
-    A failed cell reports its status, the planes mapped before it failed,
-    NaN metrics and zero runtime.
+    Every method's planes are mapped onto the model and scored as `mme fit`
+    scores them: gamma and rho against the model rows they were mapped to,
+    and orientation error against the majority true face of each plane's
+    group (for the iterative baseline, its inlier set).  A failed cell
+    reports its status, the planes mapped before it failed, NaN metrics
+    and zero runtime.
     """
-    if method not in _FITTERS:
+    if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {', '.join(METHODS)}")
     obj = get_object(object_name)
     view = turntable_view(obj, view_index)
@@ -235,21 +199,35 @@ def run_cell(method: str, object_name: str, sigma: float, view_index: int,
     method_seed = _derive_seed(seed, object_name, f"{sigma:.9g}", view_index, repeat, method)
     cloud = generate_view(obj, view, noise=NoiseSpec(0.0, sigma), rng_seed=scene_seed)
     gt = face_normals_in_view(obj, view)
+    pcc_cfg = PccConfig(constraint_tolerance_deg=BENCH_PCC_TOLERANCE_DEG,
+                        kmeans_restarts=BENCH_KMEANS_RESTARTS, rng_seed=method_seed)
     t0 = time.perf_counter()
-    stage = None
+    groups = []
     try:
-        if method != "iterative":
-            stage = pcc_stage(cloud, obj.model_matrix, BENCH_NORMALS,
-                              PccConfig(constraint_tolerance_deg=BENCH_PCC_TOLERANCE_DEG,
-                                        kmeans_restarts=BENCH_KMEANS_RESTARTS,
-                                        rng_seed=method_seed))
-        planes, faces, (gamma, rho) = _FITTERS[method](cloud, stage, gt, method_seed)
+        if method == "iterative":
+            planes, groups, refs, sub = iterative_stage(
+                cloud, obj.model_matrix, replace(BENCH_BASELINE, rng_seed=method_seed), pcc_cfg,
+                min_inlier_fraction=BENCH_ITERATIVE_MIN_FRACTION)
+        else:
+            cloud, groups, refs, sub = pcc_stage(cloud, obj.model_matrix, BENCH_NORMALS, pcc_cfg)
+            if method == "mme":
+                cfg = replace(BENCH_MCR, sample_size=_bench_sample_size(len(groups)),
+                              rng_seed=_derive_seed(method_seed, "mcr"))
+                planes = run_mcransac(groups, cloud, sub, cfg, reference_directions=refs).planes
+                # independent re-check of the returned fit against its constraints
+                if not check_constraints(planes, sub, cfg.constraint_tolerance_deg, refs):
+                    raise _ConstraintViolation
+            else:
+                planes = clustered_ransac(groups, cloud, replace(
+                    BENCH_BASELINE, rng_seed=_derive_seed(method_seed, "ransac")))
+        gamma, rho = constraint_error(planes, sub, refs)
     except tuple(_FAILURES) as exc:
         status = next(s for cls, s in _FAILURES.items() if isinstance(exc, cls))
         nan = float("nan")
-        report = FitReport(nan, nan, 0 if stage is None else len(stage[1]), nan, nan, 0.0, status)
+        report = FitReport(nan, nan, len(groups), nan, nan, 0.0, status)
     else:
         normals = np.array([p.normal for p in planes])
+        faces = [int(np.bincount(cloud.labels[g]).argmax()) for g in groups]
         orientation = float(np.mean(_folded_angles(normals, gt[faces])))
         ratio = sum(p.inliers.shape[0] for p in planes) / len(cloud)
         runtime = (time.perf_counter() - t0) * 1e3

@@ -14,11 +14,12 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .baselines import RansacConfig, clustered_ransac, iterative_ransac
+from .baselines import RansacConfig, clustered_ransac
 from .bench import (
     METHODS,
+    NoPlaneFound,
     constraint_error,
-    mapped_groups,
+    iterative_stage,
     pcc_stage,
     results_csv,
     run_experiment,
@@ -27,8 +28,7 @@ from .bench import (
 from .geometry import DegenerateInput
 from .mcransac import McRansacConfig, NoSatisfyingFit, run_mcransac
 from .normals import NormalEstimationConfig
-from .pcc import (Cluster, Clustering, NoSolution, PccConfig, assign_clusters,
-                  read_constraint_matrix, write_constraint_matrix)
+from .pcc import NoSolution, PccConfig, read_constraint_matrix, write_constraint_matrix
 from .synth import (
     NoiseSpec,
     builtin_objects,
@@ -178,23 +178,16 @@ def _cmd_fit(args) -> int:
 
     try:
         if args.method == "iterative":
-            # each plane is a cluster of its inliers, its normal turned
-            # toward the sensor at the origin as estimated normals are
-            found = iterative_ransac(cloud, cfg)
-            if not found:
-                print("no plane found", file=sys.stderr)
-                return EXIT_NO_FIT
-            clusters = Clustering([Cluster(p.inliers, -p.normal if p.offset > 0 else p.normal)
-                                   for p in found])
-            solution = assign_clusters(clusters, constraints, pcc_cfg)
-            _, refs, sub = mapped_groups(solution, clusters, constraints)
-            planes = [found[c] for c in solution.mapping if c is not None]
+            planes, _, refs, sub = iterative_stage(cloud, constraints, cfg, pcc_cfg)
         else:
             cloud, groups, refs, sub = pcc_stage(cloud, constraints, normal_cfg, pcc_cfg)
             if args.method == "mme":
                 planes = run_mcransac(groups, cloud, sub, cfg, reference_directions=refs).planes
             else:
                 planes = clustered_ransac(groups, cloud, cfg)
+    except NoPlaneFound as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_NO_FIT
     except NoSolution as exc:
         print(f"no admissible assignment: {exc}", file=sys.stderr)
         return EXIT_NO_FIT
@@ -282,13 +275,16 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, _Parser]]:
     p.add_argument("--cloud", required=True)
     p.add_argument("--constraints", required=True)
     p.add_argument("--method", choices=METHODS, default="mme")
-    p.add_argument("--iterations", type=int, default=50)
-    p.add_argument("--sample-size", dest="sample_size", type=int, default=3)
-    p.add_argument("--tolerance", type=float, default=2.0,
+    p.add_argument("--iterations", type=int, default=McRansacConfig.iterations)
+    p.add_argument("--sample-size", dest="sample_size", type=int,
+                   default=McRansacConfig.sample_size)
+    p.add_argument("--tolerance", type=float, default=McRansacConfig.constraint_tolerance_deg,
                    help="constraint tolerance (degrees)")
-    p.add_argument("--pcc-tolerance", dest="pcc_tolerance", type=float, default=20.0,
+    p.add_argument("--pcc-tolerance", dest="pcc_tolerance", type=float,
+                   default=PccConfig.constraint_tolerance_deg,
                    help="cluster-assignment angle tolerance (degrees)")
-    p.add_argument("--k-neighbors", dest="k_neighbors", type=int, default=7)
+    p.add_argument("--k-neighbors", dest="k_neighbors", type=int,
+                   default=NormalEstimationConfig.k_neighbors)
     p.add_argument("--distance-threshold", dest="distance_threshold", type=float,
                    default=RansacConfig.distance_threshold)
     p.set_defaults(func=_cmd_fit)

@@ -184,13 +184,6 @@ def orientation_error(normals, face_normals) -> float:
     return float(np.mean([_fold(angle_between(n, g)) for n, g in zip(normals, face_normals)]))
 
 
-def nearest_faces(normals, face_normals) -> list[int]:
-    """Per fitted normal, the face whose normal is closest up to sign; the
-    first face wins a tie."""
-    return [int(np.argmin([_fold(angle_between(n, g)) for g in face_normals]))
-            for n in normals]
-
-
 def reference_merge(groups, means, normals, merge_angle_deg):
     """The seed's merge scan, one pair at a time: the first pair in row-major
     order whose mean normals are closer than the threshold merges, the

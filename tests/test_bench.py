@@ -22,6 +22,7 @@ from mme.bench import (
     pcc_stage,
     results_csv,
     run_cell,
+    run_experiment,
     summarize,
     summary_csv,
 )
@@ -104,6 +105,16 @@ class TestRunCell:
         with pytest.raises(ValueError):
             run_cell("magic", "cube", 0.0, 1, 0, 0)
 
+    def test_iterative_maps_at_most_the_model_planes(self):
+        # greedy extraction leaves many planes on the two pyramid faces of
+        # these views (14 in view 4, repeat 1); only the mapped ones count
+        size = get_object("pyramid").model_matrix.size
+        rows = run_experiment("iterative", ["pyramid"], [1e-5], views=8, repeats=3, seed=0)
+        ok = [r.report for r in rows if r.report.status == "ok"]
+        assert ok and all(1 <= rep.plane_count <= size for rep in ok), \
+            [rep.plane_count for rep in ok]
+        assert all(math.isfinite(rep.gamma) for rep in ok)
+
 
 class TestFoldedAngles:
     """The folded plane-to-face angles against the hand-written loops they
@@ -125,15 +136,6 @@ class TestFoldedAngles:
             faces = rng.integers(0, len(gt), size=len(normals))
             assert float(np.mean(bench._folded_angles(normals, gt[faces]))) == \
                 oracle.orientation_error(normals, gt[faces])
-
-    def test_nearest_face(self, rng):
-        for _ in range(20):
-            normals, gt = self.scene(rng)
-            folded = bench._folded_angles(normals[:, None], gt)
-            assert folded.argmin(axis=1).tolist() == oracle.nearest_faces(normals, gt)
-            expected = [[min(a, 180.0 - a) for a in (oracle.angle_between(n, g) for g in gt)]
-                        for n in normals]
-            assert np.array_equal(folded, expected)
 
 
 class TestPccStage:
@@ -215,6 +217,10 @@ class TestFailureRows:
     def test_iterative_without_planes(self, monkeypatch):
         monkeypatch.setattr(bench, "iterative_ransac", lambda *args, **kwargs: [])
         assert self.failed_row("iterative", "degenerate").plane_count == 0
+
+    def test_iterative_assignment_failure_has_no_planes(self, monkeypatch):
+        monkeypatch.setattr(bench, "assign_clusters", _raises(NoSolution))
+        assert self.failed_row("iterative", "no_solution").plane_count == 0
 
 
 def fake_results():

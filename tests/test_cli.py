@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 
 from mme import bench
-from mme.cli import EXIT_INVALID, EXIT_NO_FIT, EXIT_OK, main
+from mme.baselines import RansacConfig
+from mme.cli import EXIT_INVALID, EXIT_NO_FIT, EXIT_OK, build_parser, main
 from mme.geometry import pair_angles
-from mme.pcc import NoSolution
+from mme.mcransac import McRansacConfig
+from mme.normals import NormalEstimationConfig
+from mme.pcc import NoSolution, PccConfig
 from mme.synth import read_cloud
 
 
@@ -330,6 +333,7 @@ class TestBadArguments:
         ("--tolerance", "inf"),
         ("--pcc-tolerance", "inf"),
         ("--method", "iterative", "--distance-threshold", "inf"),
+        ("--method", "iterative", "--sample-size", "4000"),  # more than the cloud holds
     ])
     def test_fit(self, cube_files, capsys, flags):
         cloud, constraints = cube_files
@@ -433,6 +437,18 @@ class TestBadArguments:
 
 
 class TestParser:
+    def test_fit_defaults_are_the_config_defaults(self):
+        fit = build_parser()[1]["fit"]
+        mcr, ransac = McRansacConfig(), RansacConfig()
+        assert fit.get_default("iterations") == mcr.iterations
+        assert fit.get_default("sample_size") == mcr.sample_size
+        assert fit.get_default("tolerance") == mcr.constraint_tolerance_deg
+        assert fit.get_default("pcc_tolerance") == PccConfig().constraint_tolerance_deg
+        assert fit.get_default("k_neighbors") == NormalEstimationConfig().k_neighbors
+        assert fit.get_default("distance_threshold") == ransac.distance_threshold
+        # --iterations and --sample-size feed whichever config the method uses
+        assert (ransac.iterations, ransac.sample_size) == (mcr.iterations, mcr.sample_size)
+
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as err:
             run("--version")
