@@ -2,8 +2,13 @@
 
 One plane hypothesis per point group is drawn, the whole set is accepted
 only if every pairwise angle matches the model, and inliers are then
-grown point by point with a refit and a full constraint re-check after
-each candidate — growth that breaks a constraint is reverted.
+grown point by point.  Each group's candidates are tried in a drawn
+order; a candidate is accepted iff the refit of the accepted set plus the
+candidate still meets every constraint pair of its group, and a refit
+that breaks one, or is degenerate, is reverted.  The stored plane is the
+exact total-least-squares refit of the accepted set.  The trials
+themselves are judged a window at a time from running moments of the
+accepted set, with one batched eigensolve per window.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from .geometry import (
     PlaneModel,
     PointCloud,
     angle_deviation,
+    angles,
     fit_plane_lsq,
     oriented_normals,
     pair_angles,
@@ -25,6 +31,10 @@ from .geometry import (
     upper_pairs,
 )
 from .pcc import ConstraintMatrix, PccSolution
+
+
+#: most growth candidates judged per batched eigensolve
+GROWTH_WINDOW = 64
 
 
 class NoSatisfyingFit(RuntimeError):
@@ -105,6 +115,60 @@ def hypothesize(groups, cloud: PointCloud, cfg: McRansacConfig, rng) -> list[Pla
             for g in groups]
 
 
+def _accepted_candidates(points, seed, candidates, others, model_row, reference,
+                         tolerance_deg: float) -> np.ndarray:
+    """The candidates, in trial order, that guarded growth keeps in one group.
+
+    The accepted set's moments are held as one 4x4 sum of h h^T over its
+    points in homogeneous form, h = (p - origin, 1), with the first seed
+    point as origin: the count, sum and scatter in one array.  Cumulative
+    sums then give every "set + next candidate" trial of a window, and one
+    batched eigh fits them all.  A trial passes when its fit is not
+    rank-deficient (fit_plane_lsq's test) and its normal, oriented by the
+    reference or else canonically, as check_constraints orients the exact
+    refit, meets the other planes' oriented normals within tolerance.  The
+    window's prefix before its first failure is kept, the failure is
+    reverted, and the next window starts after it, twice as long as the
+    prefix just kept plus one, up to GROWTH_WINDOW.
+    """
+    origin = points[seed[0]]
+
+    def homogeneous(idx):
+        h = np.ones((idx.shape[0], 4))
+        np.subtract(points[idx], origin, out=h[:, :3])
+        return h
+
+    h = homogeneous(seed)
+    moments = h.T @ h
+    kept = []
+    start, size = 0, GROWTH_WINDOW
+    while start < candidates.shape[0]:
+        window = candidates[start:start + size]
+        h = homogeneous(window)
+        trials = moments + np.cumsum(h[:, :, None] * h[:, None, :], axis=0)
+        total = trials[:, :3, 3]
+        evals, evecs = np.linalg.eigh(
+            trials[:, :3, :3] - total[:, :, None] * total[:, None, :] / trials[:, 3, 3, None, None])
+        normals = evecs[:, :, 0]
+        if reference is None:  # fit_plane_lsq's canonical sign
+            flip = normals[np.arange(window.shape[0]), np.abs(normals).argmax(axis=1)] < 0.0
+        else:
+            flip = normals @ reference < 0.0
+        normals = np.where(flip[:, None], -normals, normals)
+        devs = angle_deviation(angles(normals[:, None], others[None]), model_row)
+        # evals ascend, so this also fails evals[2] <= 0, as fit_plane_lsq does
+        failed = np.flatnonzero((evals[:, 1] <= 1e-12 * evals[:, 2])
+                                | (devs > tolerance_deg).any(axis=1))
+        taken = failed[0] if failed.size else window.shape[0]
+        if taken:
+            kept.append(window[:taken])
+            moments = trials[taken - 1]
+        start += taken + (failed.size > 0)
+        # trials after a failure are wasted, so dense reverts get short windows
+        size = min(GROWTH_WINDOW, 2 * (taken + 1))
+    return np.concatenate(kept) if kept else candidates[:0]
+
+
 def grow_inliers(
     planes,
     groups,
@@ -116,29 +180,46 @@ def grow_inliers(
 ) -> MultiPlaneFit:
     """Grow each group's inlier set point by point under the constraints.
 
-    For each group a seeded random subset of ceil(min_eval_fraction *
-    |group|) non-sample points is tried in turn: the candidate joins the
-    inlier set, the plane is refit, and all pairwise constraints are
-    re-checked across every group; a violation reverts the candidate.
-    The candidates are the group's points outside the seed sample, kept in
-    group order; that order, and the permutation drawn over it, is part of
-    the output contract, since the accepted sets depend on it.
+    The planes must satisfy the constraints, as every hypothesis
+    run_mcransac grows does.  For each group in turn, a seeded random
+    subset of ceil(min_eval_fraction * |group|) non-sample points is tried
+    in the drawn order: the candidate is accepted iff the refit of the
+    accepted set plus the candidate meets every constraint pair that
+    involves this group (no other pair changes); a degenerate refit is
+    reverted like a violation.  The group's stored plane is the exact
+    fit_plane_lsq refit of its seed inliers followed by the accepted
+    candidates in trial order.  The candidates are the group's points
+    outside the seed sample, kept in group order; that order, and the
+    permutation drawn over it, is part of the output contract, since the
+    accepted sets depend on it.  Trials are judged in windows of at most
+    GROWTH_WINDOW from running moments, which only decide acceptance.
     """
     planes = list(planes)
+    points = cloud.points
+    n = len(planes)
+    refs = None if reference_directions is None else np.asarray(reference_directions, float)
+    outside = np.ones(points.shape[0], dtype=bool)  # False on the current seed
     for gi, g in enumerate(groups):
         g = np.asarray(g, dtype=int)
-        rest = g[~np.isin(g, planes[gi].inliers)]
+        seed = planes[gi].inliers
+        outside[seed] = False
+        rest = g[outside[g]]
+        outside[seed] = True
         n_eval = min(rest.shape[0], math.ceil(cfg.min_eval_fraction * g.shape[0]))
         order = rng.permutation(rest.shape[0])[:n_eval]
-        for r in order:
-            trial_idx = np.append(planes[gi].inliers, rest[r])
-            trial_plane = fit_plane_lsq(cloud.points[trial_idx], trial_idx)
-            trial_set = planes[:gi] + [trial_plane] + planes[gi + 1:]
-            if check_constraints(trial_set, constraints, cfg.constraint_tolerance_deg,
-                                 reference_directions):
-                planes[gi] = trial_plane
+        others = [j for j in range(n) if j != gi]
+        normals = oriented_normals(np.array([p.normal for p in planes]), refs)
+        # the model's upper triangle, as check_constraints reads it
+        model_row = np.concatenate([constraints.entries[:gi, gi],
+                                    constraints.entries[gi, gi + 1:]])
+        accepted = _accepted_candidates(points, seed, rest[order], normals[others], model_row,
+                                        None if refs is None else refs[gi],
+                                        cfg.constraint_tolerance_deg)
+        if accepted.shape[0]:
+            final = np.concatenate([seed, accepted])
+            planes[gi] = fit_plane_lsq(points[final], final)
     total = sum(p.inliers.shape[0] for p in planes)
-    residuals = np.concatenate([p.distances(cloud.points[p.inliers]) for p in planes])
+    residuals = np.concatenate([p.distances(points[p.inliers]) for p in planes])
     return MultiPlaneFit(planes, total, float(residuals.mean()))
 
 

@@ -3,8 +3,10 @@
 Kept free of any import from the package's search internals so the two
 sides of an equivalence test cannot share a bug.  The RANSAC draw loops
 share only the total-least-squares plane fit with the library.  The
-multi-plane RANSAC loop reuses the library's hypothesize, check and grow
-steps: it pins only how the loop seeds its iterations.
+guarded growth loop shares the plane fit and the constraint check: it
+refits and re-checks every pair after each candidate.  The multi-plane
+RANSAC loop reuses the library's hypothesize, check and grow steps: it
+pins only how the loop seeds its iterations.
 """
 
 from __future__ import annotations
@@ -296,6 +298,32 @@ def reference_iterative(points, iterations, sample_size, distance_threshold, see
         planes.append(plane)
         remaining = np.setdiff1d(remaining, plane.inliers, assume_unique=True)
     return planes
+
+
+def reference_grow_inliers(planes, groups, cloud, constraints, cfg, rng,
+                           reference_directions=None):
+    """Guarded growth one candidate at a time: each drawn candidate joins its
+    group's inliers, the plane is refit, and every pairwise constraint is
+    re-checked; a violation or a degenerate refit reverts the candidate."""
+    planes = list(planes)
+    for gi, g in enumerate(groups):
+        g = np.asarray(g, dtype=int)
+        rest = g[~np.isin(g, planes[gi].inliers)]
+        n_eval = min(rest.shape[0], math.ceil(cfg.min_eval_fraction * g.shape[0]))
+        order = rng.permutation(rest.shape[0])[:n_eval]
+        for r in order:
+            trial_idx = np.append(planes[gi].inliers, rest[r])
+            try:
+                trial_plane = fit_plane_lsq(cloud.points[trial_idx], trial_idx)
+            except DegenerateInput:
+                continue
+            trial_set = planes[:gi] + [trial_plane] + planes[gi + 1:]
+            if mcransac.check_constraints(trial_set, constraints, cfg.constraint_tolerance_deg,
+                                          reference_directions):
+                planes[gi] = trial_plane
+    total = sum(p.inliers.shape[0] for p in planes)
+    residuals = np.concatenate([p.distances(cloud.points[p.inliers]) for p in planes])
+    return mcransac.MultiPlaneFit(planes, total, float(residuals.mean()))
 
 
 def reference_mcransac(groups, cloud, constraints, cfg, reference_directions=None):

@@ -2,11 +2,23 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 from conftest import planar_cloud, redraw_scene, two_plane_cloud
-from mme.geometry import DegenerateInput, PlaneModel, PointCloud, angle_between, fit_plane_lsq
+from mme import mcransac
+from mme.geometry import (
+    DegenerateInput,
+    PlaneModel,
+    PointCloud,
+    _canonical_normal,
+    angle_between,
+    fit_plane_lsq,
+    pair_angles,
+    upper_pairs,
+)
 from mme.mcransac import (
     McRansacConfig,
     NoSatisfyingFit,
@@ -17,7 +29,7 @@ from mme.mcransac import (
     run_mcransac,
 )
 from mme.pcc import EMPTY, ConstraintMatrix, PccSolution
-from oracle import reference_hypothesize, reference_mcransac
+from oracle import reference_grow_inliers, reference_hypothesize, reference_mcransac
 
 RIGHT_ANGLE = ConstraintMatrix(np.array([[0.0, 90.0], [90.0, 0.0]]))
 
@@ -198,6 +210,165 @@ class TestGrowInliers:
         gathered = np.concatenate([p.inliers for p in fit.planes])
         assert outlier not in gathered
         assert fit.total_inliers == len(spiked) - 1
+
+
+def faceted_scene(seed, n_planes, n_per=150, jitter=0.004, outliers=6, references=True):
+    """n_planes noisy patches with random normals, a few points per patch
+    pushed off it, and the model of their pairwise angles.
+
+    With references the model holds the raw angles between the true
+    normals, which are the references; without, the angles between their
+    canonical forms.  Either way many entries are obtuse.  Returns (cloud,
+    groups, model, references or None).
+    """
+    rng = np.random.default_rng(seed)
+    normals = rng.normal(size=(n_planes, 3))
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    if not references:
+        normals = np.array([_canonical_normal(v) for v in normals])
+    patches = []
+    for i, v in enumerate(normals):
+        pts = planar_cloud(rng, n_per, v, offset=2.0 + i, jitter=jitter)
+        pts[rng.choice(n_per, outliers, replace=False)] += 0.3 * v
+        patches.append(pts)
+    entries = np.zeros((n_planes, n_planes))
+    entries[upper_pairs(n_planes)] = pair_angles(normals)
+    entries += entries.T
+    groups = [np.arange(i * n_per, (i + 1) * n_per) for i in range(n_planes)]
+    return (PointCloud(np.vstack(patches)), groups, ConstraintMatrix(entries),
+            normals if references else None)
+
+
+def assert_same_fit(got, want):
+    assert got.total_inliers == want.total_inliers
+    assert np.float64(got.mean_residual).tobytes() == np.float64(want.mean_residual).tobytes()
+    for p, q in zip(got.planes, want.planes, strict=True):
+        assert p.inliers.dtype == q.inliers.dtype
+        assert p.inliers.tobytes() == q.inliers.tobytes()
+        assert p.normal.tobytes() == q.normal.tobytes()
+        assert np.float64(p.offset).tobytes() == np.float64(q.offset).tobytes()
+
+
+def passing_hypotheses(cloud, groups, model, cfg, refs, seeds):
+    """(hypothesis set, stream state after it) for each seed whose set
+    passes the check."""
+    for seed in seeds:
+        draws = np.random.default_rng(seed)
+        hyp = hypothesize(groups, cloud, cfg, draws)
+        if check_constraints(hyp, model, cfg.constraint_tolerance_deg, refs):
+            yield hyp, draws.bit_generator.state
+
+
+def grow_both(hyp, state, cloud, groups, model, cfg, refs):
+    """Windowed and reference growth from one stream state; asserts that they
+    agree and returns the reference fit."""
+    ours, theirs = np.random.default_rng(), np.random.default_rng()
+    ours.bit_generator.state = theirs.bit_generator.state = state
+    got = grow_inliers(hyp, groups, cloud, model, cfg, ours, reference_directions=refs)
+    want = reference_grow_inliers(hyp, groups, cloud, model, cfg, theirs,
+                                  reference_directions=refs)
+    assert_same_fit(got, want)
+    assert ours.bit_generator.state == theirs.bit_generator.state
+    return want
+
+
+def grow_all(cloud, groups, model, cfg, refs, seeds):
+    """grow_both from every passing seed; returns the (accepted, reverted)
+    candidate totals."""
+    accepted = reverted = 0
+    for hyp, state in passing_hypotheses(cloud, groups, model, cfg, refs, seeds):
+        fit = grow_both(hyp, state, cloud, groups, model, cfg, refs)
+        seeded = sum(p.inliers.shape[0] for p in hyp)
+        tried = sum(min(g.shape[0] - p.inliers.shape[0],
+                        math.ceil(cfg.min_eval_fraction * g.shape[0]))
+                    for g, p in zip(groups, hyp))
+        accepted += fit.total_inliers - seeded
+        reverted += tried - (fit.total_inliers - seeded)
+    return accepted, reverted
+
+
+class TestGrowInliersOracle:
+    """Windowed growth against the per-candidate loop of tests/oracle.py:
+    the same accepted sets in the same order, planes and residual bit for
+    bit, and the same stream consumed."""
+
+    @pytest.mark.parametrize("n_planes", [2, 3, 5])
+    @pytest.mark.parametrize("references", [True, False])
+    @pytest.mark.parametrize("fraction", [1.0, 0.3])
+    def test_matches_reference_growth(self, n_planes, references, fraction):
+        cloud, groups, model, refs = faceted_scene(n_planes, n_planes, references=references)
+        assert (model.entries > 90.0).any()
+        cfg = McRansacConfig(sample_size=8, constraint_tolerance_deg=1.5,
+                             min_eval_fraction=fraction)
+        accepted, reverted = grow_all(cloud, groups, model, cfg, refs, range(30))
+        assert accepted > 0 and reverted > 0
+
+    @pytest.mark.parametrize("references", [True, False])
+    def test_dense_reverts_off_the_model(self, references):
+        # every model angle is 2 deg off the true one, beyond the 1.5 deg
+        # tolerance: growth drifts toward the true planes and many trials
+        # on the way are reverted
+        cloud, groups, model, refs = faceted_scene(2, 2, references=references)
+        entries = model.entries.copy()
+        off = ~np.eye(2, dtype=bool)
+        entries[off] += np.where(entries[off] < 90.0, 2.0, -2.0)
+        cfg = McRansacConfig(sample_size=4, constraint_tolerance_deg=1.5)
+        accepted, reverted = grow_all(cloud, groups, ConstraintMatrix(entries), cfg, refs,
+                                      range(40))
+        assert reverted > accepted / 10 > 0
+
+    @pytest.mark.parametrize("window", [1, 10_000])
+    def test_window_size_does_not_matter(self, monkeypatch, window):
+        monkeypatch.setattr(mcransac, "GROWTH_WINDOW", window)
+        cloud, groups, model, refs = faceted_scene(4, 3)
+        cfg = McRansacConfig(sample_size=8, constraint_tolerance_deg=1.5)
+        accepted, reverted = grow_all(cloud, groups, model, cfg, refs, range(20))
+        assert accepted > 0 and reverted > 0
+
+    @pytest.mark.parametrize("position", [mcransac.GROWTH_WINDOW - 1, mcransac.GROWTH_WINDOW])
+    def test_revert_on_a_window_edge(self, position):
+        # the candidate drawn at this position is lifted far off its face, so
+        # the last trial of the first window, or the first of the next, fails
+        cloud, groups, model, refs = faceted_scene(5, 2, outliers=0)
+        cfg = McRansacConfig(sample_size=8, constraint_tolerance_deg=1.5)
+        hyp, state = next(passing_hypotheses(cloud, groups, model, cfg, refs, range(20)))
+        draws = np.random.default_rng()
+        draws.bit_generator.state = state
+        rest = groups[0][~np.isin(groups[0], hyp[0].inliers)]
+        edge = rest[draws.permutation(rest.shape[0])[position]]
+        cloud.points[edge] += 100.0 * refs[0]
+        fit = grow_both(hyp, state, cloud, groups, model, cfg, refs)
+        assert edge not in fit.planes[0].inliers
+        assert fit.planes[0].inliers.shape[0] > mcransac.GROWTH_WINDOW + cfg.sample_size
+
+
+class TestDegenerateGrowth:
+    """A growth trial whose refit is rank-deficient is reverted like a
+    constraint violation instead of aborting the whole fit."""
+
+    @staticmethod
+    def scene():
+        # 20 points within 1e-6 on z=0, one at x=1e9 that leaves a refit
+        # through it collinear by fit_plane_lsq's test, and a wall on x=5
+        rng = np.random.default_rng(0)
+        flat = np.c_[rng.uniform(0.0, 1e-6, size=(20, 2)), np.zeros(20)]
+        wall = np.c_[np.full(20, 5.0), rng.uniform(-1.0, 1.0, size=(20, 2))]
+        cloud = PointCloud(np.vstack([flat, [[1e9, 0.0, 0.0]], wall]))
+        return cloud, [np.arange(21), np.arange(21, 41)]
+
+    def test_fit_keeps_everything_but_the_far_point(self):
+        cloud, groups = self.scene()
+        cfg = McRansacConfig(iterations=5, min_eval_fraction=1.0,
+                             constraint_tolerance_deg=5.0, rng_seed=1)
+        fit = run_mcransac(groups, cloud, RIGHT_ANGLE, cfg)
+        assert fit.total_inliers == 40
+        assert 20 not in np.concatenate([p.inliers for p in fit.planes])
+
+    def test_matches_reference_growth(self):
+        cloud, groups = self.scene()
+        cfg = McRansacConfig(constraint_tolerance_deg=5.0)
+        accepted, reverted = grow_all(cloud, groups, RIGHT_ANGLE, cfg, None, range(10))
+        assert accepted > 0 and reverted > 0
 
 
 class TestRunMcransac:
