@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .baselines import RansacConfig, clustered_ransac, iterative_ransac
-from .geometry import DegenerateInput, angle_deviation, angles
+from .geometry import DegenerateInput, angles
 from .mcransac import (
     McRansacConfig,
     NoSatisfyingFit,
@@ -36,27 +36,10 @@ METHODS = ("mme", "clustered", "iterative")
 CSV_HEADER = "method,object,sigma,view,repeat,gamma,rho,plane_count,inlier_ratio,orientation_error,runtime_ms,status"
 SUMMARY_HEADER = "method,object,sigma,cells,failures,mean_gamma,mean_rho,mean_orientation_error,mean_inlier_ratio"
 
-#: sweep configuration for the constraint-checked method; tuned for the
-#: synthetic scenes (their noise is large relative to the sampling pitch):
-#: heavier normal smoothing keeps clusters face-pure, the tight assignment
-#: tolerance rejects look-alike cluster permutations the fitting stage
-#: could never satisfy, and the capped growth keeps cells fast
-BENCH_NORMALS = NormalEstimationConfig(k_neighbors=15)
-BENCH_PCC_TOLERANCE_DEG = 10.0
-BENCH_KMEANS_RESTARTS = 4
-BENCH_MCR = McRansacConfig(iterations=30, sample_size=3, min_eval_fraction=0.0025,
-                           constraint_tolerance_deg=2.5)
-
-#: minimal samples per plane grow with the number of active constraint
-#: pairs, keeping the joint feasibility probability roughly level as the
-#: constraint count rises (one loose plane violates every pair it is in)
-BENCH_SAMPLE_BASE = 3
-BENCH_SAMPLE_CAP = 8
-
-
-def _bench_sample_size(plane_count: int) -> int:
-    pairs = plane_count * (plane_count - 1) // 2
-    return min(BENCH_SAMPLE_BASE + pairs, BENCH_SAMPLE_CAP)
+#: the sweep's growth cap and iteration count for the constraint-checked
+#: method; every other value is the library default.  perfbench/scenes.py
+#: pins a copy of these, so full growth waits for a benchmark change
+BENCH_MCR = McRansacConfig(iterations=30, min_eval_fraction=0.0025)
 
 #: sweep configuration for the unconstrained baselines; with 3 hypotheses
 #: per plane often none lies on one face, so `iterative` finds no plane over
@@ -93,16 +76,6 @@ def _mean_std(devs: np.ndarray) -> tuple[float, float]:
     if not devs.size:
         return 0.0, 0.0
     return float(devs.mean()), float(devs.std())
-
-
-def constraint_error_from_angles(measured_deg, model_deg) -> tuple[float, float]:
-    """Mean and population std of |measured - model| over angle pairs,
-    with the same folding convention as the constraint checks."""
-    measured = np.asarray(measured_deg, dtype=float)
-    model = np.asarray(model_deg, dtype=float)
-    if measured.shape != model.shape:
-        raise ValueError("need one model angle per measured angle")
-    return _mean_std(angle_deviation(measured, model))
 
 
 def constraint_error(planes, constraints: ConstraintMatrix, reference_directions=None) -> tuple[float, float]:
@@ -199,8 +172,7 @@ def run_cell(method: str, object_name: str, sigma: float, view_index: int,
     method_seed = _derive_seed(seed, object_name, f"{sigma:.9g}", view_index, repeat, method)
     cloud = generate_view(obj, view, noise=NoiseSpec(0.0, sigma), rng_seed=scene_seed)
     gt = face_normals_in_view(obj, view)
-    pcc_cfg = PccConfig(constraint_tolerance_deg=BENCH_PCC_TOLERANCE_DEG,
-                        kmeans_restarts=BENCH_KMEANS_RESTARTS, rng_seed=method_seed)
+    pcc_cfg = PccConfig(rng_seed=method_seed)
     t0 = time.perf_counter()
     groups = []
     try:
@@ -209,10 +181,10 @@ def run_cell(method: str, object_name: str, sigma: float, view_index: int,
                 cloud, obj.model_matrix, replace(BENCH_BASELINE, rng_seed=method_seed), pcc_cfg,
                 min_inlier_fraction=BENCH_ITERATIVE_MIN_FRACTION)
         else:
-            cloud, groups, refs, sub = pcc_stage(cloud, obj.model_matrix, BENCH_NORMALS, pcc_cfg)
+            cloud, groups, refs, sub = pcc_stage(cloud, obj.model_matrix,
+                                                 NormalEstimationConfig(), pcc_cfg)
             if method == "mme":
-                cfg = replace(BENCH_MCR, sample_size=_bench_sample_size(len(groups)),
-                              rng_seed=_derive_seed(method_seed, "mcr"))
+                cfg = replace(BENCH_MCR, rng_seed=_derive_seed(method_seed, "mcr"))
                 planes = run_mcransac(groups, cloud, sub, cfg, reference_directions=refs).planes
                 # independent re-check of the returned fit against its constraints
                 if not check_constraints(planes, sub, cfg.constraint_tolerance_deg, refs):

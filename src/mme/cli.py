@@ -165,14 +165,14 @@ def _cmd_fit(args) -> int:
     normal_cfg = _checked(NormalEstimationConfig, k_neighbors=args.k_neighbors)
     pcc_cfg = _checked(PccConfig, constraint_tolerance_deg=args.pcc_tolerance,
                        rng_seed=seed)
+    # without --sample-size each method's config keeps its own default
+    sized = {} if args.sample_size is None else {"sample_size": args.sample_size}
     if args.method == "mme":
         cfg = _checked(McRansacConfig, iterations=args.iterations,
-                       sample_size=args.sample_size,
-                       constraint_tolerance_deg=args.tolerance, rng_seed=seed)
+                       constraint_tolerance_deg=args.tolerance, rng_seed=seed, **sized)
     else:
         cfg = _checked(RansacConfig, iterations=args.iterations,
-                       sample_size=args.sample_size,
-                       distance_threshold=args.distance_threshold, rng_seed=seed)
+                       distance_threshold=args.distance_threshold, rng_seed=seed, **sized)
     cloud = _load(read_cloud, args.cloud, "cloud")
     constraints = _load(read_constraint_matrix, args.constraints, "constraints")
 
@@ -276,8 +276,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, _Parser]]:
     p.add_argument("--constraints", required=True)
     p.add_argument("--method", choices=METHODS, default="mme")
     p.add_argument("--iterations", type=int, default=McRansacConfig.iterations)
-    p.add_argument("--sample-size", dest="sample_size", type=int,
-                   default=McRansacConfig.sample_size)
+    p.add_argument("--sample-size", dest="sample_size", type=int, default=None,
+                   help="points per plane hypothesis (default: the method's own; "
+                        "for mme, 3 plus one per constraint pair, at most 8)")
     p.add_argument("--tolerance", type=float, default=McRansacConfig.constraint_tolerance_deg,
                    help="constraint tolerance (degrees)")
     p.add_argument("--pcc-tolerance", dest="pcc_tolerance", type=float,

@@ -44,20 +44,29 @@ class NoSatisfyingFit(RuntimeError):
 @dataclass(frozen=True)
 class McRansacConfig:
     iterations: int = 50
-    sample_size: int = 3
-    constraint_tolerance_deg: float = 2.0
+    sample_size: int | None = None  # None: the pair-count rule of samples_per_plane
+    constraint_tolerance_deg: float = 2.5
     min_eval_fraction: float = 1.0
     rng_seed: int = 0
 
     def __post_init__(self):
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
-        if self.sample_size < 3:
+        if self.sample_size is not None and self.sample_size < 3:
             raise ValueError("sample_size must be >= 3")
         if not 0.0 < self.min_eval_fraction <= 1.0:
             raise ValueError("min_eval_fraction must be in (0, 1]")
         if not 0.0 < self.constraint_tolerance_deg < math.inf:
             raise ValueError("constraint_tolerance_deg must be finite and positive")
+
+    def samples_per_plane(self, plane_count: int) -> int:
+        """Points drawn per plane hypothesis: sample_size if given, else 3
+        plus one per constraint pair, at most 8.  One loose plane violates
+        every pair it is in, so the larger sample keeps the chance that a
+        hypothesis set passes the check roughly level as pairs are added."""
+        if self.sample_size is not None:
+            return self.sample_size
+        return min(3 + plane_count * (plane_count - 1) // 2, 8)
 
 
 @dataclass(eq=False)
@@ -109,10 +118,10 @@ def check_constraints(
 
 
 def hypothesize(groups, cloud: PointCloud, cfg: McRansacConfig, rng) -> list[PlaneModel]:
-    """One minimal-sample plane per group, drawn by sample_plane in group
-    order from the stream rng."""
-    return [sample_plane(cloud.points, np.asarray(g, dtype=int), cfg.sample_size, rng)
-            for g in groups]
+    """One plane per group from a sample of cfg.samples_per_plane points,
+    drawn by sample_plane in group order from the stream rng."""
+    size = cfg.samples_per_plane(len(groups))
+    return [sample_plane(cloud.points, np.asarray(g, dtype=int), size, rng) for g in groups]
 
 
 def _accepted_candidates(points, seed, candidates, others, model_row, reference,
@@ -239,6 +248,7 @@ def run_mcransac(
     groups = [np.asarray(g, dtype=int) for g in groups]
     if len(groups) != constraints.size:
         raise ValueError("need exactly one group per constraint row")
+    size = cfg.samples_per_plane(len(groups))
     # a child per iteration as it starts, so no iteration count is held as a
     # list of children; they equal SeedSequence.spawn(cfg.iterations), in order
     seq = np.random.SeedSequence(cfg.rng_seed)
@@ -249,7 +259,7 @@ def run_mcransac(
         try:
             hyp = hypothesize(groups, cloud, cfg, rng=rng)
         except DegenerateInput:
-            if any(g.shape[0] < cfg.sample_size for g in groups):
+            if any(g.shape[0] < size for g in groups):
                 raise
             continue
         if not check_constraints(hyp, constraints, cfg.constraint_tolerance_deg,

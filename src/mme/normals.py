@@ -13,7 +13,7 @@ from .geometry import DegenerateInput, PointCloud
 class NormalEstimationConfig:
     """k_neighbors excludes the point itself; the fit uses k+1 points."""
 
-    k_neighbors: int = 7
+    k_neighbors: int = 15
 
     def __post_init__(self):
         if self.k_neighbors < 3:

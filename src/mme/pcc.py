@@ -134,8 +134,8 @@ class PccConfig:
     cluster_surplus_fraction: float = 0.4
     merge_angle_deg: float = 10.0
     similarity_threshold_deg: float = 20.0
-    constraint_tolerance_deg: float = 20.0
-    kmeans_restarts: int = 1
+    constraint_tolerance_deg: float = 10.0
+    kmeans_restarts: int = 4
     rng_seed: int = 0
 
     def __post_init__(self):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from mme.geometry import PointCloud, as_unit
+from mme.geometry import PlaneModel, PointCloud, as_unit
 
 
 def random_rotation(rng) -> np.ndarray:
@@ -49,6 +49,14 @@ def two_plane_cloud(rng, n_per=80, angle_deg=90.0, jitter=0.0):
         labels=np.repeat([0, 1], n_per),
     )
     return cloud, [n0, n1]
+
+
+def skewed_planes(a_deg: float, b_deg: float) -> list[PlaneModel]:
+    """Planes through the origin with normals x, y and a third unit normal
+    at a_deg to x and b_deg to y; their pair angles are 90, a_deg and b_deg."""
+    ca, cb = np.cos(np.radians(a_deg)), np.cos(np.radians(b_deg))
+    normals = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [ca, cb, np.sqrt(1.0 - ca**2 - cb**2)]])
+    return [PlaneModel(n, 0.0, np.arange(3)) for n in normals]
 
 
 def redraw_scene(rng):

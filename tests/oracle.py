@@ -331,13 +331,14 @@ def reference_mcransac(groups, cloud, constraints, cfg, reference_directions=Non
     first hypothesis."""
     groups = [np.asarray(g, dtype=int) for g in groups]
     seeds = np.random.SeedSequence(cfg.rng_seed).spawn(cfg.iterations)
+    size = cfg.samples_per_plane(len(groups))
     best, best_key = None, None
     for it in range(cfg.iterations):
         rng = np.random.default_rng(seeds[it])
         try:
             hyp = mcransac.hypothesize(groups, cloud, cfg, rng=rng)
         except DegenerateInput:
-            if any(g.shape[0] < cfg.sample_size for g in groups):
+            if any(g.shape[0] < size for g in groups):
                 raise
             continue
         if not mcransac.check_constraints(hyp, constraints, cfg.constraint_tolerance_deg,

@@ -18,19 +18,12 @@ import time
 import numpy as np
 import pytest
 
-from conftest import planar_cloud, random_rotation
-from mme.bench import (
-    BENCH_KMEANS_RESTARTS,
-    BENCH_NORMALS,
-    BENCH_PCC_TOLERANCE_DEG,
-    constraint_error_from_angles,
-    run_experiment,
-    summarize,
-)
+from conftest import planar_cloud, random_rotation, skewed_planes
+from mme.bench import constraint_error, run_experiment, summarize
 from mme.cli import EXIT_NO_FIT, EXIT_OK, main
 from mme.geometry import PointCloud, angle_between, angle_deviation, fit_plane_lsq
 from mme.mcransac import McRansacConfig, NoSatisfyingFit, run_mcransac
-from mme.normals import estimate_normals
+from mme.normals import NormalEstimationConfig, estimate_normals
 from mme.pcc import (
     EMPTY,
     ConstraintMatrix,
@@ -129,16 +122,13 @@ def test_criterion_03_constraint_soundness(sweep):
     view = turntable_view(obj, 1)
     cloud = estimate_normals(
         generate_view(obj, view, noise=NoiseSpec(0.0, 1e-5), rng_seed=3),
-        BENCH_NORMALS)
-    solution, clustering = run_pcc(
-        cloud, obj.model_matrix,
-        PccConfig(constraint_tolerance_deg=BENCH_PCC_TOLERANCE_DEG,
-                  kmeans_restarts=BENCH_KMEANS_RESTARTS, rng_seed=3))
+        NormalEstimationConfig())
+    solution, clustering = run_pcc(cloud, obj.model_matrix, PccConfig(rng_seed=3))
     groups = solution_groups(solution, clustering)
     from mme.mcransac import restrict_constraints
     sub = restrict_constraints(obj.model_matrix, solution)
     fit = run_mcransac(groups, cloud, sub,
-                       McRansacConfig(iterations=10, min_eval_fraction=0.05,
+                       McRansacConfig(iterations=10, sample_size=3, min_eval_fraction=0.05,
                                       constraint_tolerance_deg=2.0, rng_seed=3))
     worst = 0.0
     for i in range(len(fit.planes)):
@@ -153,8 +143,9 @@ def test_criterion_03_constraint_soundness(sweep):
 
 
 def test_criterion_04_error_metric_arithmetic():
-    gamma, rho = constraint_error_from_angles([90.0, 88.0, 91.0],
-                                              [90.0, 90.0, 90.0])
+    # pair angles 90, 88 and 91 against an all-90 model: deviations {0, 2, 1}
+    gamma, rho = constraint_error(skewed_planes(88.0, 91.0),
+                                  ConstraintMatrix(90.0 * (1.0 - np.eye(3))))
     ok = abs(gamma - 1.0) <= 1e-12 and abs(rho - math.sqrt(2.0 / 3.0)) <= 1e-12
     assert report("criterion 4", ok, f"gamma={gamma!r} rho={rho!r}")
 
@@ -210,11 +201,8 @@ def test_criterion_07_cluster_selection_ratio():
         view = turntable_view(obj, 1 + seed % 8)
         cloud = estimate_normals(
             generate_view(obj, view, noise=NoiseSpec(0.0, sigma), rng_seed=seed),
-            BENCH_NORMALS)
-        solution, clustering = run_pcc(
-            cloud, obj.model_matrix,
-            PccConfig(constraint_tolerance_deg=BENCH_PCC_TOLERANCE_DEG,
-                      kmeans_restarts=BENCH_KMEANS_RESTARTS, rng_seed=seed))
+            NormalEstimationConfig())
+        solution, clustering = run_pcc(cloud, obj.model_matrix, PccConfig(rng_seed=seed))
         groups = solution_groups(solution, clustering)
         return sum(g.shape[0] for g in groups) / len(cloud)
 

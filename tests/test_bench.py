@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import oracle
-from conftest import planar_cloud
+from conftest import planar_cloud, skewed_planes
 from mme import bench
 from mme.bench import (
     CSV_HEADER,
@@ -18,7 +18,6 @@ from mme.bench import (
     FitReport,
     _derive_seed,
     constraint_error,
-    constraint_error_from_angles,
     pcc_stage,
     results_csv,
     run_cell,
@@ -34,23 +33,24 @@ from mme.synth import NoiseSpec, generate_view, get_object, turntable_view
 
 
 class TestConstraintError:
+    RIGHT = ConstraintMatrix(90.0 * (1.0 - np.eye(3)))
+
     def test_reference_arithmetic(self):
-        # deviations {0, 2, 1}: mean exactly 1, population std sqrt(2/3)
-        gamma, rho = constraint_error_from_angles([90.0, 88.0, 91.0],
-                                                  [90.0, 90.0, 90.0])
+        # pair angles 90, 88 and 91 against an all-90 model: deviations
+        # {0, 2, 1}, mean exactly 1, population std sqrt(2/3)
+        gamma, rho = constraint_error(skewed_planes(88.0, 91.0), self.RIGHT)
         assert abs(gamma - 1.0) <= 1e-12
         assert abs(rho - math.sqrt(2.0 / 3.0)) <= 1e-12
 
     def test_folds_like_the_constraint_check(self):
-        gamma, rho = constraint_error_from_angles([170.0], [10.0])
-        assert gamma == 0.0 and rho == 0.0
-
-    def test_empty_is_zero(self):
-        assert constraint_error_from_angles([], []) == (0.0, 0.0)
+        # a 170 degree pair is 10 degrees apart orientation-free
+        planes = skewed_planes(90.0, 170.0)[1:]
+        gamma, rho = constraint_error(planes, ConstraintMatrix([[0.0, 10.0], [10.0, 0.0]]))
+        assert gamma == pytest.approx(0.0, abs=1e-9) and rho == 0.0
 
     def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            constraint_error_from_angles([1.0], [1.0, 2.0])
+        with pytest.raises(ValueError, match="one plane per constraint row"):
+            constraint_error(skewed_planes(90.0, 90.0)[:2], self.RIGHT)
 
     def test_planes_against_matrix(self, rng):
         p = fit_plane_lsq(planar_cloud(rng, 30, [0.0, 0.0, 1.0]), np.arange(30))

@@ -128,6 +128,15 @@ class TestFit:
         folded = np.minimum(angles, 180.0 - angles)
         assert len(normals) >= 2 and folded.min() > 10.0, folded
 
+    @pytest.mark.parametrize("view", range(1, 9))
+    def test_defaults_fit_every_double_pyramid_view(self, tmp_path, capsys, view):
+        # with a fixed sample of 3 points per plane, 7 of these 8 views
+        # ended in no_fit; the pair-count rule draws 4-8
+        files = synth_files(tmp_path, "double_pyramid", view)
+        capsys.readouterr()
+        assert run("fit", *files, "--seed", "7") == EXIT_OK
+        assert capsys.readouterr().out.startswith("planes=")
+
     def test_clustered_scores_a_partial_mapping(self, tmp_path, capsys):
         # four of the double pyramid's model planes are mapped on this view
         files = synth_files(tmp_path, "double_pyramid", 1)
@@ -441,13 +450,15 @@ class TestParser:
         fit = build_parser()[1]["fit"]
         mcr, ransac = McRansacConfig(), RansacConfig()
         assert fit.get_default("iterations") == mcr.iterations
-        assert fit.get_default("sample_size") == mcr.sample_size
         assert fit.get_default("tolerance") == mcr.constraint_tolerance_deg
         assert fit.get_default("pcc_tolerance") == PccConfig().constraint_tolerance_deg
         assert fit.get_default("k_neighbors") == NormalEstimationConfig().k_neighbors
         assert fit.get_default("distance_threshold") == ransac.distance_threshold
-        # --iterations and --sample-size feed whichever config the method uses
-        assert (ransac.iterations, ransac.sample_size) == (mcr.iterations, mcr.sample_size)
+        # --iterations feeds whichever config the method uses; --sample-size
+        # defers to each one's own default: the pair-count rule for mme,
+        # RansacConfig.sample_size for the baselines
+        assert ransac.iterations == mcr.iterations
+        assert fit.get_default("sample_size") is None and mcr.sample_size is None
 
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as err:

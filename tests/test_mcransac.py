@@ -17,6 +17,7 @@ from mme.geometry import (
     angle_between,
     fit_plane_lsq,
     pair_angles,
+    sample_plane,
     upper_pairs,
 )
 from mme.mcransac import (
@@ -180,6 +181,41 @@ class TestHypothesizeOracle:
         with pytest.raises(DegenerateInput, match="non-degenerate"):
             reference_hypothesize([groups["planar"], groups["line"]], cloud.points, 3, theirs)
         assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+class TestSampleRule:
+    """Without a sample_size each plane is drawn from 3 points plus one per
+    constraint pair, at most 8, in hypothesize and run_mcransac alike; a
+    given sample_size is drawn as it is."""
+
+    @pytest.mark.parametrize("sample_size, n_planes, drawn", [
+        (None, 1, 3), (None, 2, 4), (None, 3, 6), (None, 4, 8), (None, 5, 8),
+        (3, 3, 3), (5, 5, 5),
+    ])
+    def test_points_per_plane(self, monkeypatch, sample_size, n_planes, drawn):
+        cloud, groups, model, refs = faceted_scene(n_planes, n_planes)
+        cfg = McRansacConfig(iterations=3, sample_size=sample_size, min_eval_fraction=0.01)
+        assert cfg.samples_per_plane(n_planes) == drawn
+        planes = hypothesize(groups, cloud, cfg, np.random.default_rng(0))
+        assert [p.inliers.shape[0] for p in planes] == [drawn] * n_planes
+        sizes = []
+
+        def recording(points, indices, size, rng):
+            sizes.append(size)
+            return sample_plane(points, indices, size, rng)
+
+        monkeypatch.setattr(mcransac, "sample_plane", recording)
+        try:
+            run_mcransac(groups, cloud, model, cfg, reference_directions=refs)
+        except NoSatisfyingFit:
+            pass
+        assert sizes == [drawn] * (cfg.iterations * n_planes)
+
+    def test_group_below_the_rule_raises(self):
+        cloud, groups, model, refs = faceted_scene(0, 3)
+        groups[1] = groups[1][:5]
+        with pytest.raises(DegenerateInput, match="5 points cannot seed a sample of 6"):
+            run_mcransac(groups, cloud, model, reference_directions=refs)
 
 
 class TestGrowInliers:
