@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import logging
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -25,8 +25,8 @@ from .mcransac import (
     run_mcransac,
 )
 from .normals import NormalEstimationConfig, estimate_normals
-from .pcc import (Cluster, Clustering, ConstraintMatrix, NoSolution, PccConfig, PccSolution,
-                  assign_clusters, run_pcc)
+from .pcc import (Cluster, Clustering, ConstraintMatrix, NoSolution, PccConfig,
+                  assign_clusters, run_pcc, solution_groups)
 from .synth import NoiseSpec, generate_view, face_normals_in_view, get_object, turntable_view
 
 logger = logging.getLogger(__name__)
@@ -88,52 +88,65 @@ def _derive_seed(*parts) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
-def mapped_groups(solution: PccSolution, clustering: Clustering, model: ConstraintMatrix):
-    """The point groups of the mapped model planes, their reference
-    directions (the clusters' stored mean normals) and the model over those
-    planes, all in model-plane order."""
-    mapped = [clustering.clusters[c] for c in solution.mapping if c is not None]
-    refs = np.array([c.mean_normal for c in mapped])
-    return [c.point_indices for c in mapped], refs, restrict_constraints(model, solution)
-
-
-def pcc_stage(cloud, model: ConstraintMatrix, normal_cfg: NormalEstimationConfig,
-              pcc_cfg: PccConfig):
-    """The clustering front end of the group-based fits.
-
-    Estimates normals, runs PCC, and returns the cloud with normals
-    followed by the mapped groups, references and model of mapped_groups.
-    """
-    cloud = estimate_normals(cloud, normal_cfg)
-    solution, clustering = run_pcc(cloud, model, pcc_cfg)
-    return (cloud, *mapped_groups(solution, clustering, model))
-
-
 class NoPlaneFound(DegenerateInput):
     """Iterative RANSAC found no plane that explains enough of the cloud."""
 
 
-def iterative_stage(cloud, model: ConstraintMatrix, cfg: RansacConfig, pcc_cfg: PccConfig,
-                    **options):
-    """The iterative baseline, its planes mapped onto the model as the
-    clusters of pcc_stage are.
+@dataclass(eq=False)
+class MethodFit:
+    """A method's mapped planes with their point groups, reference
+    directions and model over the mapped planes, all in model-plane order.
 
-    Runs iterative_ransac (options such as min_inlier_fraction are passed
-    on) and makes each plane a cluster of its inliers, its normal turned
-    toward the sensor at the origin as estimated normals are.  Returns the
-    planes that assign_clusters mapped, followed by the groups, references
-    and model of mapped_groups, all in model-plane order.
+    fit_method fills it in stage by stage, so after a failed fit it still
+    holds the groups mapped before the failure.
     """
-    if len(cloud) < cfg.sample_size:
-        raise DegenerateInput(f"{len(cloud)} points cannot seed a sample of {cfg.sample_size}")
-    found = iterative_ransac(cloud, cfg, **options)
-    if not found:
-        raise NoPlaneFound("no plane found")
-    clustering = Clustering([Cluster(p.inliers, -p.normal if p.offset > 0 else p.normal)
-                             for p in found])
-    solution = assign_clusters(clustering, model, pcc_cfg)
-    planes = [found[c] for c in solution.mapping if c is not None]
-    return (planes, *mapped_groups(solution, clustering, model))
+
+    planes: list = field(default_factory=list)
+    groups: list = field(default_factory=list)
+    reference_directions: np.ndarray | None = None
+    model: ConstraintMatrix | None = None
+
+
+def fit_method(method: str, cloud, model: ConstraintMatrix, cfg, pcc_cfg: PccConfig,
+               normal_cfg: NormalEstimationConfig, fit: MethodFit | None = None,
+               **options) -> MethodFit:
+    """Fit one method's planes to a raw cloud and map them onto the model.
+
+    `mme` and `clustered` estimate normals and fit the groups that PCC maps,
+    with run_mcransac or clustered_ransac under cfg.  `iterative` runs
+    iterative_ransac (options such as min_inlier_fraction are passed on to
+    it, and ignored by the other methods) and makes each plane a cluster of
+    its inliers, its normal turned toward the sensor at the origin as
+    estimated normals are; assign_clusters then maps those clusters.  The
+    reference directions are the mapped clusters' mean normals.
+    """
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; choose from {', '.join(METHODS)}")
+    fit = MethodFit() if fit is None else fit
+    if method == "iterative":
+        if len(cloud) < cfg.sample_size:
+            raise DegenerateInput(f"{len(cloud)} points cannot seed a sample of {cfg.sample_size}")
+        found = iterative_ransac(cloud, cfg, **options)
+        if not found:
+            raise NoPlaneFound("no plane found")
+        clustering = Clustering([Cluster(p.inliers, -p.normal if p.offset > 0 else p.normal)
+                                 for p in found])
+        solution = assign_clusters(clustering, model, pcc_cfg)
+    else:
+        cloud = estimate_normals(cloud, normal_cfg)
+        solution, clustering = run_pcc(cloud, model, pcc_cfg)
+    mapped = [c for c in solution.mapping if c is not None]
+    fit.groups = solution_groups(solution, clustering)
+    fit.reference_directions = np.array([clustering.clusters[c].mean_normal for c in mapped])
+    fit.model = restrict_constraints(model, solution)
+    if method == "mme":
+        fit.planes = run_mcransac(fit.groups, cloud, fit.model, cfg,
+                                  reference_directions=fit.reference_directions).planes
+    elif method == "clustered":
+        fit.planes = clustered_ransac(fit.groups, cloud, cfg)
+    else:
+        fit.planes = [found[c] for c in mapped]
+    return fit
 
 
 def _folded_angles(a, b) -> np.ndarray:
@@ -164,46 +177,40 @@ def run_cell(method: str, object_name: str, sigma: float, view_index: int,
     reports its status, the planes mapped before it failed, NaN metrics
     and zero runtime.
     """
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; choose from {', '.join(METHODS)}")
     obj = get_object(object_name)
     view = turntable_view(obj, view_index)
     scene_seed = _derive_seed(seed, object_name, f"{sigma:.9g}", view_index, repeat)
     method_seed = _derive_seed(seed, object_name, f"{sigma:.9g}", view_index, repeat, method)
     cloud = generate_view(obj, view, noise=NoiseSpec(0.0, sigma), rng_seed=scene_seed)
     gt = face_normals_in_view(obj, view)
-    pcc_cfg = PccConfig(rng_seed=method_seed)
+    if method == "mme":
+        cfg = replace(BENCH_MCR, rng_seed=_derive_seed(method_seed, "mcr"))
+    elif method == "clustered":
+        cfg = replace(BENCH_BASELINE, rng_seed=_derive_seed(method_seed, "ransac"))
+    else:
+        cfg = replace(BENCH_BASELINE, rng_seed=method_seed)
     t0 = time.perf_counter()
-    groups = []
+    fit = MethodFit()
     try:
-        if method == "iterative":
-            planes, groups, refs, sub = iterative_stage(
-                cloud, obj.model_matrix, replace(BENCH_BASELINE, rng_seed=method_seed), pcc_cfg,
-                min_inlier_fraction=BENCH_ITERATIVE_MIN_FRACTION)
-        else:
-            cloud, groups, refs, sub = pcc_stage(cloud, obj.model_matrix,
-                                                 NormalEstimationConfig(), pcc_cfg)
-            if method == "mme":
-                cfg = replace(BENCH_MCR, rng_seed=_derive_seed(method_seed, "mcr"))
-                planes = run_mcransac(groups, cloud, sub, cfg, reference_directions=refs).planes
-                # independent re-check of the returned fit against its constraints
-                if not check_constraints(planes, sub, cfg.constraint_tolerance_deg, refs):
-                    raise _ConstraintViolation
-            else:
-                planes = clustered_ransac(groups, cloud, replace(
-                    BENCH_BASELINE, rng_seed=_derive_seed(method_seed, "ransac")))
-        gamma, rho = constraint_error(planes, sub, refs)
+        fit_method(method, cloud, obj.model_matrix, cfg, PccConfig(rng_seed=method_seed),
+                   NormalEstimationConfig(), fit,
+                   min_inlier_fraction=BENCH_ITERATIVE_MIN_FRACTION)
+        # independent re-check of the returned fit against its constraints
+        if method == "mme" and not check_constraints(
+                fit.planes, fit.model, cfg.constraint_tolerance_deg, fit.reference_directions):
+            raise _ConstraintViolation
+        gamma, rho = constraint_error(fit.planes, fit.model, fit.reference_directions)
     except tuple(_FAILURES) as exc:
         status = next(s for cls, s in _FAILURES.items() if isinstance(exc, cls))
         nan = float("nan")
-        report = FitReport(nan, nan, len(groups), nan, nan, 0.0, status)
+        report = FitReport(nan, nan, len(fit.groups), nan, nan, 0.0, status)
     else:
-        normals = np.array([p.normal for p in planes])
-        faces = [int(np.bincount(cloud.labels[g]).argmax()) for g in groups]
+        normals = np.array([p.normal for p in fit.planes])
+        faces = [int(np.bincount(cloud.labels[g]).argmax()) for g in fit.groups]
         orientation = float(np.mean(_folded_angles(normals, gt[faces])))
-        ratio = sum(p.inliers.shape[0] for p in planes) / len(cloud)
+        ratio = sum(p.inliers.shape[0] for p in fit.planes) / len(cloud)
         runtime = (time.perf_counter() - t0) * 1e3
-        report = FitReport(gamma, rho, len(planes), ratio, orientation, runtime, "ok")
+        report = FitReport(gamma, rho, len(fit.planes), ratio, orientation, runtime, "ok")
     return CellResult(method, object_name, sigma, view_index, repeat, report)
 
 

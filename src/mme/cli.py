@@ -14,19 +14,18 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .baselines import RansacConfig, clustered_ransac
+from .baselines import RansacConfig
 from .bench import (
     METHODS,
     NoPlaneFound,
     constraint_error,
-    iterative_stage,
-    pcc_stage,
+    fit_method,
     results_csv,
     run_experiment,
     summary_csv,
 )
 from .geometry import DegenerateInput
-from .mcransac import McRansacConfig, NoSatisfyingFit, run_mcransac
+from .mcransac import McRansacConfig, NoSatisfyingFit
 from .normals import NormalEstimationConfig
 from .pcc import NoSolution, PccConfig, read_constraint_matrix, write_constraint_matrix
 from .synth import (
@@ -177,14 +176,7 @@ def _cmd_fit(args) -> int:
     constraints = _load(read_constraint_matrix, args.constraints, "constraints")
 
     try:
-        if args.method == "iterative":
-            planes, _, refs, sub = iterative_stage(cloud, constraints, cfg, pcc_cfg)
-        else:
-            cloud, groups, refs, sub = pcc_stage(cloud, constraints, normal_cfg, pcc_cfg)
-            if args.method == "mme":
-                planes = run_mcransac(groups, cloud, sub, cfg, reference_directions=refs).planes
-            else:
-                planes = clustered_ransac(groups, cloud, cfg)
+        fit = fit_method(args.method, cloud, constraints, cfg, pcc_cfg, normal_cfg)
     except NoPlaneFound as exc:
         print(exc, file=sys.stderr)
         return EXIT_NO_FIT
@@ -194,11 +186,11 @@ def _cmd_fit(args) -> int:
     except NoSatisfyingFit as exc:
         print(f"no constraint-satisfying fit: {exc}", file=sys.stderr)
         return EXIT_NO_FIT
-    gamma, rho = constraint_error(planes, sub, refs)
-    inliers = sum(p.inliers.shape[0] for p in planes)
-    print(f"planes={len(planes)} gamma={gamma:.6f} rho={rho:.6f} "
+    gamma, rho = constraint_error(fit.planes, fit.model, fit.reference_directions)
+    inliers = sum(p.inliers.shape[0] for p in fit.planes)
+    print(f"planes={len(fit.planes)} gamma={gamma:.6f} rho={rho:.6f} "
           f"inliers={inliers}/{len(cloud)}")
-    for i, p in enumerate(planes):
+    for i, p in enumerate(fit.planes):
         n = p.normal
         print(f"# plane {i}: normal=({n[0]:.9g},{n[1]:.9g},{n[2]:.9g}) "
               f"offset={p.offset:.9g} inliers={p.inliers.shape[0]}")

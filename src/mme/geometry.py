@@ -136,6 +136,19 @@ class PlaneModel:
         return np.abs(np.asarray(points, dtype=float) @ self.normal - self.offset)
 
 
+def scatter_normal(scatter) -> tuple[np.ndarray, np.ndarray]:
+    """The smallest principal axis of each (..., 3, 3) scatter matrix, and
+    whether its points span a plane.
+
+    They do not when the middle eigenvalue is at most 1e-12 of the largest:
+    the points are collinear or coincident.
+    """
+    evals, evecs = np.linalg.eigh(scatter)
+    # indexing evals.T gives one scatter numpy scalars, not the slower 0-d
+    # arrays of evals[..., 1]; the outer .T puts the batch axes back in order
+    return evecs[..., 0], (evals.T[1] > 1e-12 * evals.T[2]).T
+
+
 def fit_plane_lsq(points, indices) -> PlaneModel:
     """Total-least-squares plane through >= 3 points.
 
@@ -154,12 +167,10 @@ def fit_plane_lsq(points, indices) -> PlaneModel:
         raise DegenerateInput(f"need at least 3 points, got {pts.shape[0]}")
     centroid = pts.mean(axis=0)
     centered = pts - centroid
-    cov = centered.T @ centered
-    evals, evecs = np.linalg.eigh(cov)
-    # rank < 2 over the in-plane directions means collinear or coincident
-    if evals[2] <= 0.0 or evals[1] <= 1e-12 * evals[2]:
+    normal, planar = scatter_normal(centered.T @ centered)
+    if not planar:
         raise DegenerateInput("points are collinear or coincident")
-    normal = _canonical_normal(as_unit(evecs[:, 0]))
+    normal = _canonical_normal(as_unit(normal))
     offset = float(normal @ centroid)
     return PlaneModel(normal, offset, np.asarray(indices, dtype=int))
 

@@ -28,6 +28,7 @@ from .geometry import (
     oriented_normals,
     pair_angles,
     sample_plane,
+    scatter_normal,
     upper_pairs,
 )
 from .pcc import ConstraintMatrix, PccSolution
@@ -132,8 +133,8 @@ def _accepted_candidates(points, seed, candidates, others, model_row, reference,
     points in homogeneous form, h = (p - origin, 1), with the first seed
     point as origin: the count, sum and scatter in one array.  Cumulative
     sums then give every "set + next candidate" trial of a window, and one
-    batched eigh fits them all.  A trial passes when its fit is not
-    rank-deficient (fit_plane_lsq's test) and its normal, oriented by the
+    batched scatter_normal fits them all.  A trial passes when its points
+    span a plane (fit_plane_lsq's test) and its normal, oriented by the
     reference or else canonically, as check_constraints orients the exact
     refit, meets the other planes' oriented normals within tolerance.  The
     window's prefix before its first failure is kept, the failure is
@@ -156,18 +157,15 @@ def _accepted_candidates(points, seed, candidates, others, model_row, reference,
         h = homogeneous(window)
         trials = moments + np.cumsum(h[:, :, None] * h[:, None, :], axis=0)
         total = trials[:, :3, 3]
-        evals, evecs = np.linalg.eigh(
+        normals, planar = scatter_normal(
             trials[:, :3, :3] - total[:, :, None] * total[:, None, :] / trials[:, 3, 3, None, None])
-        normals = evecs[:, :, 0]
         if reference is None:  # fit_plane_lsq's canonical sign
             flip = normals[np.arange(window.shape[0]), np.abs(normals).argmax(axis=1)] < 0.0
         else:
             flip = normals @ reference < 0.0
         normals = np.where(flip[:, None], -normals, normals)
         devs = angle_deviation(angles(normals[:, None], others[None]), model_row)
-        # evals ascend, so this also fails evals[2] <= 0, as fit_plane_lsq does
-        failed = np.flatnonzero((evals[:, 1] <= 1e-12 * evals[:, 2])
-                                | (devs > tolerance_deg).any(axis=1))
+        failed = np.flatnonzero(~planar | (devs > tolerance_deg).any(axis=1))
         taken = failed[0] if failed.size else window.shape[0]
         if taken:
             kept.append(window[:taken])

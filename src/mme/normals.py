@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import DegenerateInput, PointCloud
+from .geometry import DegenerateInput, PointCloud, scatter_normal
 
 
 @dataclass(frozen=True)
@@ -49,16 +49,10 @@ def estimate_normals(cloud: PointCloud,
     tree = cKDTree(pts)
     _, idx = tree.query(pts, k=cfg.k_neighbors + 1)
 
-    # batched covariance of each neighborhood, eigh for the smallest axis
+    # batched covariance of each neighborhood; a usable one spans a plane
     hoods = pts[idx]                                  # (n, k+1, 3)
     centered = hoods - hoods.mean(axis=1, keepdims=True)
-    cov = np.einsum("nki,nkj->nij", centered, centered)
-    evals, evecs = np.linalg.eigh(cov)
-    normals = evecs[:, :, 0]
-
-    # a usable neighborhood must have two independent in-plane directions
-    ok = (evals[:, 2] > 0.0) & (evals[:, 1] > 1e-12 * evals[:, 2])
-
+    normals, ok = scatter_normal(np.einsum("nki,nkj->nij", centered, centered))
     norms = np.linalg.norm(normals, axis=1)
     ok &= norms > 1e-12
     safe = np.where(ok, norms, 1.0)

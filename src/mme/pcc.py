@@ -283,13 +283,10 @@ def _kmeans_once(cols: np.ndarray, k: int, rng: np.random.Generator):
         counts = np.bincount(assign, minlength=k)
         empty = np.flatnonzero(counts == 0)
         if empty.size:
-            donors_used: set[int] = set()
-            order = np.argsort(-own)
-            for j in empty:
-                donor = next(int(i) for i in order if int(i) not in donors_used)
-                donors_used.add(donor)
-                centers[j] = cols[:, donor]
-                assign[donor] = j
+            # the t-th emptied cluster takes the t-th farthest point
+            donors = np.argsort(-own)[:empty.size]
+            centers[empty] = cols[:, donors].T
+            assign[donors] = empty
             counts = np.bincount(assign, minlength=k)
         elif prev is not None and np.array_equal(assign, prev):
             return assign, float(own.sum())

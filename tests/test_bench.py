@@ -18,16 +18,17 @@ from mme.bench import (
     FitReport,
     _derive_seed,
     constraint_error,
-    pcc_stage,
+    fit_method,
     results_csv,
     run_cell,
     run_experiment,
     summarize,
     summary_csv,
 )
+from mme.baselines import RansacConfig, clustered_ransac
 from mme.geometry import DegenerateInput, as_unit, fit_plane_lsq
 from mme.mcransac import NoSatisfyingFit, restrict_constraints
-from mme.normals import NormalEstimationConfig
+from mme.normals import NormalEstimationConfig, estimate_normals
 from mme.pcc import ConstraintMatrix, NoSolution, PccConfig, run_pcc, solution_groups
 from mme.synth import NoiseSpec, generate_view, get_object, turntable_view
 
@@ -138,22 +139,28 @@ class TestFoldedAngles:
                 oracle.orientation_error(normals, gt[faces])
 
 
-class TestPccStage:
+class TestFitMethod:
     def test_matches_the_hand_written_front_end(self):
         obj = get_object("pyramid")
         raw = generate_view(obj, turntable_view(obj, 3), noise=NoiseSpec(0.0, 4e-5),
                             rng_seed=5)
         normal_cfg, pcc_cfg = NormalEstimationConfig(k_neighbors=15), PccConfig(rng_seed=5)
-        cloud, groups, refs, sub = pcc_stage(raw, obj.model_matrix, normal_cfg, pcc_cfg)
+        cfg = RansacConfig(rng_seed=5)
+        fit = fit_method("clustered", raw, obj.model_matrix, cfg, pcc_cfg, normal_cfg)
+        cloud = estimate_normals(raw, normal_cfg)
         solution, clustering = run_pcc(cloud, obj.model_matrix, pcc_cfg)
         expected = solution_groups(solution, clustering)
-        assert len(groups) == len(expected) > 1
-        assert all(np.array_equal(g, e) for g, e in zip(groups, expected))
+        assert len(fit.groups) == len(expected) > 1
+        assert all(np.array_equal(g, e) for g, e in zip(fit.groups, expected))
         # the stored cluster mean normals, equal bit for bit to the group means
-        assert np.array_equal(refs, [as_unit(cloud.normals[g].mean(axis=0)) for g in groups])
-        assert np.array_equal(sub.entries,
+        assert np.array_equal(fit.reference_directions,
+                              [as_unit(cloud.normals[g].mean(axis=0)) for g in fit.groups])
+        assert np.array_equal(fit.model.entries,
                               restrict_constraints(obj.model_matrix, solution).entries)
-        assert cloud.normals is not None and cloud.labels is raw.labels
+        planes = clustered_ransac(expected, cloud, cfg)
+        assert all(np.array_equal(p.normal, q.normal) and p.offset == q.offset
+                   and np.array_equal(p.inliers, q.inliers)
+                   for p, q in zip(fit.planes, planes, strict=True))
 
 
 def _raises(exc):
