@@ -158,13 +158,16 @@ def fit_plane_lsq(points, indices) -> PlaneModel:
     not depend on point order or eigensolver sign conventions.
     ``indices`` name the points in their cloud and become the inliers.
 
-    Raises DegenerateInput for < 3 points or (near-)collinear input.
+    Raises DegenerateInput for < 3 points, a NaN or infinite coordinate,
+    or (near-)collinear input.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise DegenerateInput(f"expected (N, 3) points, got {pts.shape}")
     if pts.shape[0] < 3:
         raise DegenerateInput(f"need at least 3 points, got {pts.shape[0]}")
+    if not np.isfinite(pts).all():
+        raise DegenerateInput("points must be finite")
     centroid = pts.mean(axis=0)
     centered = pts - centroid
     normal, planar = scatter_normal(centered.T @ centered)

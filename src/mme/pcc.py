@@ -399,6 +399,12 @@ def tree_search(
     or EMPTY.  Among complete assignments the one explaining the most
     points wins; ties resolve to the lexicographically smallest mapping
     (EMPTY ordering after every cluster id).  All-EMPTY is no solution.
+
+    The enumeration order is part of the output contract, because it
+    decides ties: levels go in model order, each level tries its clusters
+    in ascending id and then EMPTY, and only a strictly greater total
+    replaces the best mapping.  Both angle matrices are read as Python
+    lists, so no node of the search works on numpy scalars.
     """
     n = model.size
     m = observed.size
@@ -406,8 +412,8 @@ def tree_search(
     if len(sizes) != m or len(candidates) != m:
         raise ValueError("candidates and cluster_sizes must have one entry per cluster")
     allowed = [[j for j in range(m) if i in candidates[j]] for i in range(n)]
-    a = model.entries
-    b = observed.entries
+    a = model.entries.tolist()
+    b = observed.entries.tolist()
     tol = cfg.constraint_tolerance_deg
 
     best_total = 0
@@ -418,7 +424,7 @@ def tree_search(
     def admissible(i: int, j: int) -> bool:
         for k in range(i):
             l = mapping[k]
-            if l is not None and abs(b[j, l] - a[i, k]) > tol:
+            if l is not None and abs(b[j][l] - a[i][k]) > tol:
                 return False
         return True
 

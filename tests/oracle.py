@@ -92,6 +92,25 @@ def random_search_instance(rng):
     return model, observed, candidates, sizes, tolerance
 
 
+def tie_heavy_search_instance(rng):
+    """A small search problem on which many mappings reach the best total,
+    so the enumeration order alone decides the answer: angles near 45, 90
+    and 135 degrees, and cluster sizes from {1, 2, 3}."""
+    n = int(rng.integers(1, 6))
+    m = int(rng.integers(1, 7))
+
+    def symmetric(entries):
+        upper = np.triu(entries, 1)
+        return upper + upper.T
+
+    model = symmetric(rng.choice([45.0, 90.0, 135.0], size=(n, n)))
+    observed = symmetric(rng.choice([45.0, 90.0, 135.0], size=(m, m))
+                         + rng.uniform(-3.0, 3.0, size=(m, m)))
+    candidates = [[i for i in range(n) if rng.random() < 0.7] for _ in range(m)]
+    sizes = [int(s) for s in rng.choice([1, 2, 3], size=m)]
+    return model, observed, candidates, sizes, 2.0
+
+
 def broadcast_sqdist(a, b):
     """(N, k) squared distances through an (N, k, d) broadcast temporary."""
     return ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)

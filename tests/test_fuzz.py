@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from mme.cli import EXIT_INVALID, main
-from mme.normals import estimate_normals
+from mme.normals import NormalEstimationConfig, estimate_normals
 from mme.pcc import read_constraint_matrix
 from mme.synth import NoiseSpec, generate_view, get_object, read_cloud, turntable_view, write_cloud
 
@@ -26,7 +26,7 @@ SEED = 6
 CASES = 60
 CASE_SECONDS = 30.0
 MAX_PLANES = 5
-K_NEIGHBORS = 7  # the fit default
+K_NEIGHBORS = NormalEstimationConfig().k_neighbors  # the fit default
 SPECIAL = ("inf", "-inf", "nan", "1e308", "-1e308", "-0")
 METHODS = ("mme", "mme", "clustered", "iterative")
 

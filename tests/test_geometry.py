@@ -81,6 +81,12 @@ class TestFitPlaneLsq:
         with pytest.raises(DegenerateInput):
             fit_plane_lsq(np.ones((5, 2)), np.arange(5))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_points(self, value):
+        pts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, value]])
+        with pytest.raises(DegenerateInput, match="finite"):
+            fit_plane_lsq(pts, np.arange(3))
+
 
 class TestAngles:
     def test_angle_between_basics(self):

@@ -45,6 +45,7 @@ from oracle import (
     reference_merge,
     reference_similarity_reduction,
     remap_labels,
+    tie_heavy_search_instance,
 )
 
 # Reference example: a 3-plane model observed as 4 clusters.  The measured
@@ -522,21 +523,24 @@ class TestTreeSearch:
             tree_search(model, observed, [[0], [1]], [100], self.CFG)
 
     def test_matches_bruteforce_enumeration(self):
+        # random instances, then tie-heavy ones (up to 5 planes and 6
+        # clusters) on which the enumeration order alone decides the answer
         rng = np.random.default_rng(42)
         checked = 0
-        for _ in range(100):
-            model, observed, cands, sizes, tol = random_search_instance(rng)
-            cfg = PccConfig(constraint_tolerance_deg=tol)
-            expected = enumerate_assignments(model, observed, cands, sizes, tol)
-            try:
-                sol = tree_search(ConstraintMatrix(model), ConstraintMatrix(observed),
-                                  cands, sizes, cfg)
-                got = (sol.mapping, sol.total_points)
-            except NoSolution:
-                got = None
-            assert got == expected
-            checked += 1
-        assert checked == 100
+        for make, count in ((random_search_instance, 100), (tie_heavy_search_instance, 200)):
+            for _ in range(count):
+                model, observed, cands, sizes, tol = make(rng)
+                cfg = PccConfig(constraint_tolerance_deg=tol)
+                expected = enumerate_assignments(model, observed, cands, sizes, tol)
+                try:
+                    sol = tree_search(ConstraintMatrix(model), ConstraintMatrix(observed),
+                                      cands, sizes, cfg)
+                    got = (sol.mapping, sol.total_points)
+                except NoSolution:
+                    got = None
+                assert got == expected
+                checked += 1
+        assert checked == 300
 
 
 class TestAssignClusters:
