@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .baselines import RansacConfig, clustered_ransac, iterative_ransac
-from .geometry import DegenerateInput, angles
+from .geometry import DegenerateInput, angles, fold, orient
 from .mcransac import (
     McRansacConfig,
     NoSatisfyingFit,
@@ -129,7 +129,8 @@ def fit_method(method: str, cloud, model: ConstraintMatrix, cfg, pcc_cfg: PccCon
         found = iterative_ransac(cloud, cfg, **options)
         if not found:
             raise NoPlaneFound("no plane found")
-        clustering = Clustering([Cluster(p.inliers, -p.normal if p.offset > 0 else p.normal)
+        # -offset * normal points from the plane to the sensor at the origin
+        clustering = Clustering([Cluster(p.inliers, orient(p.normal, -p.offset * p.normal))
                                  for p in found])
         solution = assign_clusters(clustering, model, pcc_cfg)
     else:
@@ -147,13 +148,6 @@ def fit_method(method: str, cloud, model: ConstraintMatrix, cfg, pcc_cfg: PccCon
     else:
         fit.planes = [found[c] for c in mapped]
     return fit
-
-
-def _folded_angles(a, b) -> np.ndarray:
-    """Angles between the unit vectors of a and b, folded onto [0, 90] so
-    the sign of either cannot matter."""
-    ang = angles(a, b)
-    return np.minimum(ang, 180.0 - ang)
 
 
 class _ConstraintViolation(RuntimeError):
@@ -207,7 +201,7 @@ def run_cell(method: str, object_name: str, sigma: float, view_index: int,
     else:
         normals = np.array([p.normal for p in fit.planes])
         faces = [int(np.bincount(cloud.labels[g]).argmax()) for g in fit.groups]
-        orientation = float(np.mean(_folded_angles(normals, gt[faces])))
+        orientation = float(np.mean(fold(angles(normals, gt[faces]))))
         ratio = sum(p.inliers.shape[0] for p in fit.planes) / len(cloud)
         runtime = (time.perf_counter() - t0) * 1e3
         report = FitReport(gamma, rho, len(fit.planes), ratio, orientation, runtime, "ok")

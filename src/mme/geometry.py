@@ -72,6 +72,13 @@ def pair_angles(normals) -> np.ndarray:
     return angles(v[:, None], v[None, :])[upper_pairs(v.shape[0])]
 
 
+def fold(angles_deg):
+    """Angles in degrees, in [0, 180], folded onto [0, 90]: a and 180 - a
+    are one angle between unoriented planes."""
+    a = np.asarray(angles_deg, dtype=float)
+    return np.minimum(a, 180.0 - a)
+
+
 def angle_deviation(measured_deg, model_deg):
     """Absolute deviation of measured plane angles from model entries.
 
@@ -83,19 +90,22 @@ def angle_deviation(measured_deg, model_deg):
     """
     measured = np.asarray(measured_deg, dtype=float)
     model = np.asarray(model_deg, dtype=float)
-    folded = np.minimum(measured, 180.0 - measured)
-    return np.abs(np.where(model <= 90.0, folded, measured) - model)[()]
+    return np.abs(np.where(model <= 90.0, fold(measured), measured) - model)[()]
 
 
-def _canonical_normal(n) -> np.ndarray:
-    """Flip a unit normal so its largest-magnitude component is >= 0.
-
-    Ties between components resolve to the first of x, y, z.  Gives every
-    plane a unique, orientation-free representative.
-    """
-    n = np.asarray(n, dtype=float)
-    idx = int(np.argmax(np.abs(n)))  # argmax returns the first of ties
-    return -n if n[idx] < 0 else n
+def orient(normals, toward=None) -> np.ndarray:
+    """Normals along the last axis, each flipped to within 90 deg of
+    ``toward`` (broadcast), or else to the canonical sign that makes every
+    plane's normal unique: the largest-magnitude component >= 0, the first
+    of x, y, z on ties.  A batch equals its rows oriented one by one."""
+    n = np.asarray(normals, dtype=float)
+    if toward is not None:
+        flip = np.vecdot(n, toward) < 0.0
+    elif n.ndim == 1:  # one normal, as every plane fit has: indexing beats a gather
+        return -n if n[np.argmax(np.abs(n))] < 0.0 else n
+    else:  # argmax returns the first of ties
+        flip = np.take_along_axis(n, np.abs(n).argmax(axis=-1)[..., None], axis=-1)[..., 0] < 0.0
+    return np.where(flip[..., None], -n, n)
 
 
 def oriented_normals(normals, reference_directions=None) -> np.ndarray:
@@ -108,11 +118,9 @@ def oriented_normals(normals, reference_directions=None) -> np.ndarray:
     normals = np.asarray(normals, dtype=float)
     if reference_directions is None:
         return normals
-    refs = np.asarray(reference_directions, dtype=float)
-    if refs.shape != normals.shape:
+    if np.shape(reference_directions) != normals.shape:
         raise DegenerateInput("need one reference direction per normal")
-    sign = np.where(np.einsum("ij,ij->i", normals, refs) < 0.0, -1.0, 1.0)
-    return normals * sign[:, None]
+    return orient(normals, reference_directions)
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,7 +181,7 @@ def fit_plane_lsq(points, indices) -> PlaneModel:
     normal, planar = scatter_normal(centered.T @ centered)
     if not planar:
         raise DegenerateInput("points are collinear or coincident")
-    normal = _canonical_normal(as_unit(normal))
+    normal = orient(as_unit(normal))
     offset = float(normal @ centroid)
     return PlaneModel(normal, offset, np.asarray(indices, dtype=int))
 

@@ -25,6 +25,7 @@ from .geometry import (
     angle_deviation,
     angles,
     fit_plane_lsq,
+    orient,
     oriented_normals,
     pair_angles,
     sample_plane,
@@ -134,12 +135,12 @@ def _accepted_candidates(points, seed, candidates, others, model_row, reference,
     point as origin: the count, sum and scatter in one array.  Cumulative
     sums then give every "set + next candidate" trial of a window, and one
     batched scatter_normal fits them all.  A trial passes when its points
-    span a plane (fit_plane_lsq's test) and its normal, oriented by the
-    reference or else canonically, as check_constraints orients the exact
-    refit, meets the other planes' oriented normals within tolerance.  The
-    window's prefix before its first failure is kept, the failure is
-    reverted, and the next window starts after it, twice as long as the
-    prefix just kept plus one, up to GROWTH_WINDOW.
+    span a plane (fit_plane_lsq's test) and its normal, oriented as
+    check_constraints sees the exact refit (toward the reference, or else
+    canonically), meets the other planes' oriented normals within
+    tolerance.  The window's prefix before its first failure is kept, the
+    failure is reverted, and the next window starts after it, twice as
+    long as the prefix just kept plus one, up to GROWTH_WINDOW.
     """
     origin = points[seed[0]]
 
@@ -159,11 +160,7 @@ def _accepted_candidates(points, seed, candidates, others, model_row, reference,
         total = trials[:, :3, 3]
         normals, planar = scatter_normal(
             trials[:, :3, :3] - total[:, :, None] * total[:, None, :] / trials[:, 3, 3, None, None])
-        if reference is None:  # fit_plane_lsq's canonical sign
-            flip = normals[np.arange(window.shape[0]), np.abs(normals).argmax(axis=1)] < 0.0
-        else:
-            flip = normals @ reference < 0.0
-        normals = np.where(flip[:, None], -normals, normals)
+        normals = orient(normals, reference)
         devs = angle_deviation(angles(normals[:, None], others[None]), model_row)
         failed = np.flatnonzero(~planar | (devs > tolerance_deg).any(axis=1))
         taken = failed[0] if failed.size else window.shape[0]
@@ -216,10 +213,8 @@ def grow_inliers(
         order = rng.permutation(rest.shape[0])[:n_eval]
         others = [j for j in range(n) if j != gi]
         normals = oriented_normals(np.array([p.normal for p in planes]), refs)
-        # the model's upper triangle, as check_constraints reads it
-        model_row = np.concatenate([constraints.entries[:gi, gi],
-                                    constraints.entries[gi, gi + 1:]])
-        accepted = _accepted_candidates(points, seed, rest[order], normals[others], model_row,
+        accepted = _accepted_candidates(points, seed, rest[order], normals[others],
+                                        constraints.entries[gi, others],
                                         None if refs is None else refs[gi],
                                         cfg.constraint_tolerance_deg)
         if accepted.shape[0]:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import DegenerateInput, PointCloud, scatter_normal
+from .geometry import DegenerateInput, PointCloud, orient, scatter_normal
 
 
 @dataclass(frozen=True)
@@ -56,12 +56,7 @@ def estimate_normals(cloud: PointCloud,
     norms = np.linalg.norm(normals, axis=1)
     ok &= norms > 1e-12
     safe = np.where(ok, norms, 1.0)
-    normals = normals / safe[:, None]
-
-    # orient toward the sensor at the origin
-    to_vp = 0.0 - pts
-    flip = np.einsum("ni,ni->n", normals, to_vp) < 0.0
-    normals[flip] = -normals[flip]
+    normals = orient(normals / safe[:, None], -pts)  # toward the sensor at the origin
     normals[~ok] = 0.0
 
     return PointCloud(pts, normals=normals, labels=cloud.labels, normal_ok=ok)

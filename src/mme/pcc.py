@@ -36,7 +36,9 @@ class ConstraintMatrix:
 
     Entry (i, j) is the angle between plane i and plane j; the diagonal is
     zero.  Entries <= 90 are compared orientation-free by consumers;
-    obtuse entries assume consistently oriented (outward) normals.
+    obtuse entries assume consistently oriented (outward) normals.  The
+    lower triangle, which may lag the upper by 1e-6, is set to its mirror,
+    so every stage reads one angle per pair.
     """
 
     entries: np.ndarray
@@ -55,6 +57,7 @@ class ConstraintMatrix:
             raise ValueError("constraint matrix must be symmetric")
         if np.max(np.abs(np.diag(m))) > 1e-9:
             raise ValueError("constraint matrix diagonal must be zero")
+        self.entries = np.where(np.tri(m.shape[0], k=-1, dtype=bool), m.T, m)
 
     @property
     def size(self) -> int:

@@ -6,12 +6,15 @@ the error-metric arithmetic, the desk-scale benchmark orderings and
 magnitudes, orientation-error crossover, cluster-selection ratios,
 determinism, fit optimality, and the failure-feedback path.
 
+A last check pins the shared sweep's CSVs by sha256 digest.
+
 Each test finishes by printing one PASS/FAIL line (visible with -rA or on
 failure) and asserting the same condition.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 import time
 
@@ -19,7 +22,7 @@ import numpy as np
 import pytest
 
 from conftest import planar_cloud, random_rotation, skewed_planes
-from mme.bench import constraint_error, run_experiment, summarize
+from mme.bench import constraint_error, results_csv, run_experiment, summarize, summary_csv
 from mme.cli import EXIT_NO_FIT, EXIT_OK, main
 from mme.geometry import PointCloud, angle_between, angle_deviation, fit_plane_lsq
 from mme.mcransac import McRansacConfig, NoSatisfyingFit, run_mcransac
@@ -357,3 +360,15 @@ def test_criterion_10_failure_feedback(tmp_path, capsys):
     ok = errors >= 95 and code == EXIT_NO_FIT
     assert report("criterion 10", ok,
                   f"error_status={errors}/100 runs, cli exit={code}")
+
+
+
+def test_sweep_csvs_are_byte_pinned(sweep):
+    # criteria 3, 5 and 6 read the shared sweep through bands; this pins its
+    # CSVs, timing zeroed, to the byte, so no cell or summary digit can move
+    rows, _, _ = sweep
+    results = hashlib.sha256(results_csv(rows, include_timing=False).encode()).hexdigest()
+    summary = hashlib.sha256(summary_csv(rows).encode()).hexdigest()
+    ok = (results == "f0ca4eca3bcae90a1ccb54ccdaccf498b22a1dd7e078772857e9775c0b686e1c"
+          and summary == "1f45b646c1b9d32bc8578a137c3ec6a87c5410fd83db0bb125e6a3dc9dc53707")
+    assert report("sweep bytes", ok, f"results={results[:12]} summary={summary[:12]}")

@@ -26,7 +26,7 @@ from mme.bench import (
     summary_csv,
 )
 from mme.baselines import RansacConfig, clustered_ransac
-from mme.geometry import DegenerateInput, as_unit, fit_plane_lsq
+from mme.geometry import DegenerateInput, angles, as_unit, fit_plane_lsq, fold
 from mme.mcransac import NoSatisfyingFit, restrict_constraints
 from mme.normals import NormalEstimationConfig, estimate_normals
 from mme.pcc import ConstraintMatrix, NoSolution, PccConfig, run_pcc, solution_groups
@@ -135,7 +135,7 @@ class TestFoldedAngles:
         for _ in range(20):
             normals, gt = self.scene(rng)
             faces = rng.integers(0, len(gt), size=len(normals))
-            assert float(np.mean(bench._folded_angles(normals, gt[faces]))) == \
+            assert float(np.mean(fold(angles(normals, gt[faces])))) == \
                 oracle.orientation_error(normals, gt[faces])
 
 

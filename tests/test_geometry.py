@@ -14,9 +14,9 @@ from mme.geometry import (
     angle_between,
     angle_deviation,
     angles,
-    _canonical_normal as canonical_normal,
     as_unit,
     fit_plane_lsq,
+    orient,
     oriented_normals,
     pair_angles,
     upper_pairs,
@@ -32,7 +32,7 @@ class TestFitPlaneLsq:
         normal = as_unit([0.3, -0.5, 0.8])
         pts = planar_cloud(rng, 60, normal, offset=0.7)
         plane = fit_plane_lsq(pts, np.arange(60))
-        assert angle_between(plane.normal, canonical_normal(normal)) < 1e-6
+        assert angle_between(plane.normal, orient(normal)) < 1e-6
         assert plane.distances(pts).max() < 1e-12
 
     def test_beats_random_centroid_anchored_planes(self, rng):
@@ -159,20 +159,39 @@ class TestPairAngles:
 class TestNormalConventions:
     def test_canonical_normal_fixes_sign(self):
         n = as_unit([0.1, -0.9, 0.2])
-        assert np.allclose(canonical_normal(n), canonical_normal(-n))
-        out = canonical_normal(n)
+        assert np.allclose(orient(n), orient(-n))
+        out = orient(n)
         assert out[int(np.argmax(np.abs(out)))] >= 0
 
     def test_canonical_normal_tie_uses_first_axis(self):
         n = as_unit([-1.0, 1.0, 0.0])
-        out = canonical_normal(n)
+        out = orient(n)
         assert out[0] > 0
 
     def test_canonical_normal_idempotent(self, rng):
         for _ in range(20):
             n = as_unit(rng.normal(size=3))
-            c = canonical_normal(n)
-            assert np.allclose(canonical_normal(c), c)
+            c = orient(n)
+            assert np.allclose(orient(c), c)
+
+    def test_orient_batch_equals_rows_bit_for_bit(self, rng):
+        # growth orients a window of trial normals at once, fit_plane_lsq one
+        # normal at a time; the two agree only if the rows do
+        normals = rng.normal(size=(40, 3))
+        normals[:5] = [[-1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [0.0, -2.0, 2.0], [-3.0, 0.0, 0.0],
+                       [-0.6, 0.0, -0.8]]
+        toward = rng.normal(size=(40, 3))
+        toward[4] = [0.0, 1.0, 0.0]  # exactly 90 deg from normals[4]
+        ref = rng.normal(size=3)
+        rows = np.array([orient(v) for v in normals])
+        assert np.array_equal(orient(normals), rows)
+        assert rows[0].tolist() == [1.0, -1.0, 0.0] and rows[1].tolist() == [1.0, -1.0, 0.0]
+        assert rows[2].tolist() == [0.0, 2.0, -2.0]
+        assert np.array_equal(orient(normals, toward),
+                              np.array([orient(v, t) for v, t in zip(normals, toward)]))
+        assert np.array_equal(orient(normals[4], toward[4]), normals[4])
+        assert np.array_equal(orient(normals, ref), np.array([orient(v, ref) for v in normals]))
+        assert (np.vecdot(orient(normals, ref), ref) >= 0.0).all()
 
     def test_oriented_normals_flips_toward_references(self):
         normals = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])

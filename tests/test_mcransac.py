@@ -13,9 +13,9 @@ from mme.geometry import (
     DegenerateInput,
     PlaneModel,
     PointCloud,
-    _canonical_normal,
     angle_between,
     fit_plane_lsq,
+    orient,
     pair_angles,
     sample_plane,
     upper_pairs,
@@ -261,7 +261,7 @@ def faceted_scene(seed, n_planes, n_per=150, jitter=0.004, outliers=6, reference
     normals = rng.normal(size=(n_planes, 3))
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)
     if not references:
-        normals = np.array([_canonical_normal(v) for v in normals])
+        normals = orient(normals)
     patches = []
     for i, v in enumerate(normals):
         pts = planar_cloud(rng, n_per, v, offset=2.0 + i, jitter=jitter)
