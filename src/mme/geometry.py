@@ -207,14 +207,13 @@ def sample_plane(points, indices, sample_size: int, rng) -> PlaneModel:
 class PointCloud:
     """Points with optional per-point normals and integer face labels.
 
-    ``normal_ok`` flags points whose normal estimate is usable; points with
-    degenerate neighborhoods are carried along rather than dropped.
+    A zero or NaN normal marks a point whose normal is unusable; such
+    points are carried along rather than dropped.
     """
 
     points: np.ndarray
     normals: np.ndarray | None = None
     labels: np.ndarray | None = None
-    normal_ok: np.ndarray | None = None
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=float)
@@ -228,16 +227,18 @@ class PointCloud:
             self.normals = np.asarray(self.normals, dtype=float)
             if self.normals.shape != (n, 3):
                 raise DegenerateInput("normals must match points in shape")
-            if self.normal_ok is None:
-                self.normal_ok = np.ones(n, dtype=bool)
-        if self.normal_ok is not None:
-            self.normal_ok = np.asarray(self.normal_ok, dtype=bool)
-            if self.normal_ok.shape != (n,):
-                raise DegenerateInput("normal_ok must be one flag per point")
         if self.labels is not None:
             self.labels = np.asarray(self.labels, dtype=int)
             if self.labels.shape != (n,):
                 raise DegenerateInput("labels must be one integer per point")
+
+    @property
+    def normal_ok(self) -> np.ndarray | None:
+        """Per point, whether its normal is usable (norm above 1e-12, so zero
+        and NaN rows are not); None without normals.  Derived, never stored."""
+        if self.normals is None:
+            return None
+        return np.linalg.norm(self.normals, axis=1) > 1e-12
 
     def __len__(self) -> int:
         return self.points.shape[0]

@@ -60,6 +60,8 @@ class McRansacConfig:
             raise ValueError("min_eval_fraction must be in (0, 1]")
         if not 0.0 < self.constraint_tolerance_deg < math.inf:
             raise ValueError("constraint_tolerance_deg must be finite and positive")
+        if self.rng_seed < 0:
+            raise ValueError("rng_seed must be >= 0")
 
     def samples_per_plane(self, plane_count: int) -> int:
         """Points drawn per plane hypothesis: sample_size if given, else 3
@@ -265,7 +267,8 @@ def run_mcransac(
         if best is None or key > best_key:
             best, best_key = fit, key
     if best is None:
+        hint = ("; obtuse entries need reference_directions" if reference_directions is None
+                and np.any(constraints.entries > 90.0) else "")
         raise NoSatisfyingFit(
-            f"no hypothesis satisfied the constraints in {cfg.iterations} iterations"
-        )
+            f"no hypothesis satisfied the constraints in {cfg.iterations} iterations{hint}")
     return best

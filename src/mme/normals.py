@@ -28,8 +28,8 @@ def estimate_normals(cloud: PointCloud,
     neighbors) gets a total-least-squares plane; the plane normal, oriented
     toward the sensor, becomes the point normal.  The cloud must be in
     camera coordinates, as the synthetic generator writes it, so that the
-    sensor sits at the origin.  Rank-deficient neighborhoods produce a zero
-    normal flagged invalid in ``normal_ok`` instead of raising.
+    sensor sits at the origin.  Rank-deficient neighborhoods get a zero
+    normal, which ``PointCloud.normal_ok`` reads as unusable, not an error.
 
     The k-NN query uses scipy's cKDTree.  scipy is imported on the first
     call, not with the package, so a process that never estimates normals
@@ -59,4 +59,4 @@ def estimate_normals(cloud: PointCloud,
     normals = orient(normals / safe[:, None], -pts)  # toward the sensor at the origin
     normals[~ok] = 0.0
 
-    return PointCloud(pts, normals=normals, labels=cloud.labels, normal_ok=ok)
+    return PointCloud(pts, normals=normals, labels=cloud.labels)

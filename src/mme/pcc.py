@@ -151,6 +151,8 @@ class PccConfig:
             raise ValueError("constraint_tolerance_deg must be finite and >= 0")
         if self.kmeans_restarts < 1:
             raise ValueError("kmeans_restarts must be >= 1")
+        if self.rng_seed < 0:
+            raise ValueError("rng_seed must be >= 0")
 
 
 @dataclass(eq=False)
@@ -306,7 +308,7 @@ def kmeans_cluster(features: np.ndarray, k: int, cfg: PccConfig, cloud: PointClo
 
     Runs Lloyd iterations to an assignment fixpoint (or KMEANS_MAX_ITER).
     A cluster that empties is re-seeded from the point currently farthest
-    from its own center.  Points flagged with invalid normals stay out of
+    from its own center.  Points whose normal is unusable stay out of
     every cluster.  With kmeans_restarts > 1 the run with the smallest
     within-cluster squared error wins (ties keep the earliest run).
     """

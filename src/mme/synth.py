@@ -293,8 +293,8 @@ def write_cloud(path, cloud: PointCloud, comments=()) -> None:
     """Write a cloud as plain text, one point per line.
 
     Columns: x y z [nx ny nz] [label]; all floats at 17 significant digits
-    so a read round-trips bit-exactly.  Invalid normals are written as
-    zeros and recovered as invalid on read.
+    so a read round-trips bit-exactly.  Unusable normals are zeros, so they
+    read back unusable.
     """
     lines = [f"# {c}" for c in comments]
     ncols = "x y z"
@@ -325,7 +325,7 @@ def read_cloud(path) -> PointCloud:
     one of CLOUD_LAYOUTS, and every row must have that many fields.
     Without one the layout is inferred from the first row's column count:
     3 columns = points, 4 = points+label, 6 = points+normals,
-    7 = points+normals+label.  Zero normals are flagged invalid.
+    7 = points+normals+label.  A zero normal reads as unusable.
     """
     pts, norms, labels = [], [], []
     ncols = None
@@ -367,14 +367,5 @@ def read_cloud(path) -> PointCloud:
                 labels.append(int(label))
     if not pts:
         raise ValueError(f"{path}: line 1: no points found")
-    points = np.array(pts)
-    normals = np.array(norms) if norms else None
-    normal_ok = None
-    if normals is not None:
-        normal_ok = np.linalg.norm(normals, axis=1) > 1e-12
-    return PointCloud(
-        points,
-        normals=normals,
-        labels=np.array(labels, dtype=int) if labels else None,
-        normal_ok=normal_ok,
-    )
+    return PointCloud(np.array(pts), normals=np.array(norms) if norms else None,
+                      labels=np.array(labels, dtype=int) if labels else None)

@@ -233,8 +233,18 @@ class TestBasicsAndValidation:
         with pytest.raises(DegenerateInput):
             PointCloud(np.zeros((4, 3)), labels=np.zeros(5, dtype=int))
         cloud = PointCloud(np.zeros((4, 3)), normals=np.zeros((4, 3)))
-        assert cloud.normal_ok is not None and cloud.normal_ok.all()
+        assert cloud.normal_ok is not None and not cloud.normal_ok.any()
         assert len(cloud) == 4
+
+    def test_normal_ok_follows_the_normals(self):
+        assert PointCloud(np.zeros((3, 3))).normal_ok is None
+        cloud = PointCloud(np.zeros((3, 3)),
+                           normals=[[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [float("nan"), 1.0, 0.0]])
+        assert cloud.normal_ok.tolist() == [True, False, False]
+        cloud.normals[1] = [0.0, 1.0, 0.0]
+        assert cloud.normal_ok.tolist() == [True, True, False]
+        with pytest.raises(TypeError):
+            PointCloud(np.zeros((3, 3)), normal_ok=np.ones(3, dtype=bool))
 
     @pytest.mark.parametrize("value", [1.01e100, -1e300, float("inf"), float("-inf"), float("nan")])
     def test_point_cloud_bounds_coordinates(self, value):

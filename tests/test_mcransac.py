@@ -29,7 +29,9 @@ from mme.mcransac import (
     restrict_constraints,
     run_mcransac,
 )
-from mme.pcc import EMPTY, ConstraintMatrix, PccSolution
+from mme.normals import estimate_normals
+from mme.pcc import EMPTY, ConstraintMatrix, PccConfig, PccSolution, run_pcc, solution_groups
+from mme.synth import NoiseSpec, generate_view, get_object, turntable_view
 from oracle import reference_grow_inliers, reference_hypothesize, reference_mcransac
 
 RIGHT_ANGLE = ConstraintMatrix(np.array([[0.0, 90.0], [90.0, 0.0]]))
@@ -440,6 +442,30 @@ class TestRunMcransac:
             run_mcransac(groups, cloud, RIGHT_ANGLE,
                          McRansacConfig(iterations=25, rng_seed=1))
 
+    def test_obtuse_model_without_references_says_so(self):
+        # double pyramid, view 1: the mapped planes meet at 135 and 120 deg,
+        # which canonically signed normals cannot show without references
+        obj = get_object("double_pyramid")
+        cloud = estimate_normals(generate_view(obj, turntable_view(obj, 1),
+                                               noise=NoiseSpec(sigma=4e-5), rng_seed=11))
+        solution, clustering = run_pcc(cloud, obj.model_matrix, PccConfig(rng_seed=11))
+        groups = solution_groups(solution, clustering)
+        sub = restrict_constraints(obj.model_matrix, solution)
+        assert (sub.entries > 90.0).any()
+        with pytest.raises(NoSatisfyingFit, match=r"in 50 iterations; obtuse entries need "
+                                                  r"reference_directions$"):
+            run_mcransac(groups, cloud, sub, McRansacConfig(rng_seed=11))
+        refs = [clustering.clusters[c].mean_normal for c in solution.mapping if c is not None]
+        fit = run_mcransac(groups, cloud, sub, McRansacConfig(rng_seed=11),
+                           reference_directions=refs)
+        assert len(fit.planes) == sub.size
+
+    def test_acute_model_message_is_unchanged(self, rng):
+        cloud = PointCloud(planar_cloud(rng, 120, [0.0, 0.0, 1.0], jitter=0.002))
+        with pytest.raises(NoSatisfyingFit, match=r"in 5 iterations$"):
+            run_mcransac([np.arange(60), np.arange(60, 120)], cloud, RIGHT_ANGLE,
+                         McRansacConfig(iterations=5, rng_seed=1))
+
     def test_deterministic(self, rng):
         cloud, _ = two_plane_cloud(rng, n_per=70, jitter=0.005)
         groups = label_index_groups(cloud)
@@ -486,6 +512,10 @@ class TestRunMcransac:
             McRansacConfig(min_eval_fraction=1.5)
         with pytest.raises(ValueError):
             McRansacConfig(constraint_tolerance_deg=0.0)
+
+    def test_config_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="rng_seed must be >= 0"):
+            McRansacConfig(rng_seed=-1)
 
     @pytest.mark.parametrize("field", ["constraint_tolerance_deg", "min_eval_fraction"])
     def test_config_rejects_nan(self, field):

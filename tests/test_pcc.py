@@ -204,11 +204,24 @@ class TestKmeans:
 
     def test_skips_invalid_normals(self, rng):
         cloud = blob_cloud(rng)
-        cloud.normal_ok[:10] = False
+        cloud.normals[:10] = 0.0
         feats = normalize_features(cloud)
         clustering = kmeans_cluster(feats, 3, PccConfig(rng_seed=0), cloud)
         assert (assignment(clustering, len(cloud))[:10] == -1).all()
         assert (assignment(clustering, len(cloud))[10:] >= 0).all()
+
+    def test_hand_built_zero_normal_stays_unclustered(self, rng):
+        # usability is read from the normals themselves, so a zero row in a
+        # cloud built by hand is left out as estimate_normals' zeros are
+        cloud = blob_cloud(rng)
+        normals = cloud.normals.copy()
+        normals[[0, 75, 150]] = 0.0
+        cloud = PointCloud(cloud.points, normals=normals, labels=cloud.labels)
+        assert np.flatnonzero(~cloud.normal_ok).tolist() == [0, 75, 150]
+        clustering = kmeans_cluster(normalize_features(cloud), 3, PccConfig(rng_seed=0), cloud)
+        assigned = assignment(clustering, len(cloud))
+        assert (assigned[[0, 75, 150]] == -1).all()
+        assert (np.delete(assigned, [0, 75, 150]) >= 0).all()
 
     def test_k_out_of_range(self, rng):
         cloud = blob_cloud(rng)
@@ -225,6 +238,10 @@ class TestKmeans:
             PccConfig(cluster_surplus_fraction=-0.1)
         with pytest.raises(ValueError):
             PccConfig(similarity_threshold_deg=0.0)
+
+    def test_config_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="rng_seed must be >= 0"):
+            PccConfig(rng_seed=-1)
 
     @pytest.mark.parametrize("field", ["cluster_surplus_fraction", "merge_angle_deg",
                                        "similarity_threshold_deg", "constraint_tolerance_deg"])
@@ -322,7 +339,7 @@ class TestKmeansOracle:
 
     def test_invalid_normals_stay_unclustered(self, rng):
         cloud = feature_cloud(rng, 200)
-        cloud.normal_ok[rng.random(200) < 0.2] = False
+        cloud.normals[rng.random(200) < 0.2] = 0.0
         feats = rng.normal(size=(200, 6))
         self.check(feats, 4, cloud, PccConfig(rng_seed=2, kmeans_restarts=3))
         got = kmeans_cluster(feats, 4, PccConfig(rng_seed=2), cloud)
