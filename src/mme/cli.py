@@ -57,58 +57,6 @@ class _Parser(argparse.ArgumentParser):
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_INVALID)
 
-    def config_values(self, path: str) -> dict:
-        """Typed values of a key=value config file, checked as the flags are.
-
-        A key is the destination of any optional flag that takes a value;
-        its type and choices are the flag's own.
-        """
-        actions = {a.dest: a for a in self._actions
-                   if a.option_strings and a.nargs != 0 and not a.required
-                   and a.dest != "config"}
-        values = {}
-        for key, raw in _read_config(path).items():
-            action = actions.get(key)
-            if action is None:
-                raise CliError(f"unknown config key {key!r}")
-            try:
-                value = action.type(raw) if action.type else raw
-            except ValueError as exc:
-                raise CliError(f"config key {key}={raw!r}: {exc}") from exc
-            if action.choices is not None and value not in action.choices:
-                raise CliError(f"config key {key}={raw!r}: choose from "
-                               f"{', '.join(map(str, action.choices))}")
-            values[key] = value
-        return values
-
-
-def _read_config(path: str) -> dict[str, str]:
-    """key=value file, one per line; '#' comments and blank lines ignored."""
-    values = {}
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise CliError(f"cannot read config {path}: {exc}") from exc
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise CliError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        key, value = line.split("=", 1)
-        values[key.strip()] = value.strip()
-    return values
-
-
-def _default_seed() -> int:
-    env = os.environ.get("MME_SEED")
-    if env is None:
-        return 0
-    try:
-        return int(env)
-    except ValueError as exc:
-        raise CliError(f"MME_SEED must be an integer, got {env!r}") from exc
-
 
 def _checked(build, *args, **kwargs):
     """Call a config constructor or object lookup on user-supplied values;
@@ -242,15 +190,14 @@ def _cmd_bench(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> tuple[argparse.ArgumentParser, dict[str, _Parser]]:
-    """The parser and its subcommand parsers by name."""
+def build_parser() -> argparse.ArgumentParser:
+    """The mme parser; every value comes from its own flag or its default."""
     parser = _Parser(prog="mme", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     parser.add_argument("-v", "--verbose", action="store_true", help="debug logging")
     sub = parser.add_subparsers(dest="command", required=True)
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--config", default=None, help="key=value config file")
+    common.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("synth", parents=[common], help="generate a synthetic view",
                        description="Generate one noisy rendered view of a built-in object.")
@@ -294,25 +241,16 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, _Parser]]:
                    help="write zero runtimes for byte-reproducible output")
     p.add_argument("-o", "--output", required=True, help="results CSV path")
     p.set_defaults(func=_cmd_bench)
-    return parser, sub.choices
+    return parser
 
 
 def main(argv=None) -> int:
-    parser, commands = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     logging.basicConfig(
         level=logging.DEBUG if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s")
     code = EXIT_OK  # a print that fails ran after the command's work succeeded
     try:
-        if args.config:
-            # precedence: explicit flags > config file entries > defaults;
-            # the entries become defaults, so whatever argparse parses wins
-            command = commands[args.command]
-            command.set_defaults(**command.config_values(args.config))
-            args = parser.parse_args(argv)
-        if getattr(args, "seed", None) is None:
-            args.seed = _default_seed()
         if args.seed < 0:
             raise CliError(f"seed must be >= 0, got {args.seed}")
         code = args.func(args)

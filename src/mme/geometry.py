@@ -207,8 +207,8 @@ def sample_plane(points, indices, sample_size: int, rng) -> PlaneModel:
 class PointCloud:
     """Points with optional per-point normals and integer face labels.
 
-    A zero or NaN normal marks a point whose normal is unusable; such
-    points are carried along rather than dropped.
+    A zero or non-finite normal marks a point whose normal is unusable;
+    such points are carried along rather than dropped.
     """
 
     points: np.ndarray
@@ -234,11 +234,13 @@ class PointCloud:
 
     @property
     def normal_ok(self) -> np.ndarray | None:
-        """Per point, whether its normal is usable (norm above 1e-12, so zero
-        and NaN rows are not); None without normals.  Derived, never stored."""
+        """Per point, whether its normal is usable (finite, with norm above
+        1e-12, so zero, NaN and infinite rows are not); None without normals.
+        Derived, never stored."""
         if self.normals is None:
             return None
-        return np.linalg.norm(self.normals, axis=1) > 1e-12
+        norm = np.linalg.norm(self.normals, axis=1)
+        return np.isfinite(norm) & (norm > 1e-12)
 
     def __len__(self) -> int:
         return self.points.shape[0]

@@ -63,6 +63,17 @@ class TestSynth:
         assert a.with_suffix(".constraints").read_bytes() == \
             b.with_suffix(".constraints").read_bytes()
 
+    def test_seed_environment_is_ignored(self, tmp_path, monkeypatch):
+        # the seed comes only from --seed; the environment is not read
+        plain = tmp_path / "plain.xyz"
+        env = tmp_path / "env.xyz"
+        assert run("synth", "--object", "cube", "--sigma", "1e-5",
+                   "-o", str(plain)) == EXIT_OK
+        monkeypatch.setenv("MME_SEED", "31")
+        assert run("synth", "--object", "cube", "--sigma", "1e-5",
+                   "-o", str(env)) == EXIT_OK
+        assert env.read_bytes() == plain.read_bytes()
+
     def test_unknown_object_rejected(self, tmp_path):
         with pytest.raises(SystemExit) as err:
             run("synth", "--object", "teapot", "-o", str(tmp_path / "t.xyz"))
@@ -229,84 +240,6 @@ class TestFit:
         assert capsys.readouterr().err == "no admissible assignment: forced by the test\n"
 
 
-class TestConfigAndSeed:
-    def test_config_file_supplies_defaults(self, tmp_path, capsys):
-        cfg = tmp_path / "synth.cfg"
-        cfg.write_text("# comment\nsigma = 1e-5\nseed = 4\n")
-        out1 = tmp_path / "one.xyz"
-        out2 = tmp_path / "two.xyz"
-        assert run("synth", "--object", "cube", "--config", str(cfg),
-                   "-o", str(out1)) == EXIT_OK
-        assert run("synth", "--object", "cube", "--sigma", "1e-5", "--seed", "4",
-                   "-o", str(out2)) == EXIT_OK
-        assert out1.read_bytes() == out2.read_bytes()
-
-    def test_explicit_flag_beats_config(self, tmp_path):
-        cfg = tmp_path / "synth.cfg"
-        cfg.write_text("seed = 4\n")
-        flagged = tmp_path / "flagged.xyz"
-        plain = tmp_path / "plain.xyz"
-        assert run("synth", "--object", "cube", "--sigma", "1e-5", "--config",
-                   str(cfg), "--seed", "8", "-o", str(flagged)) == EXIT_OK
-        assert run("synth", "--object", "cube", "--sigma", "1e-5", "--seed", "8",
-                   "-o", str(plain)) == EXIT_OK
-        assert flagged.read_bytes() == plain.read_bytes()
-
-    def test_explicit_flag_equal_to_default_beats_config(self, tmp_path):
-        cfg = tmp_path / "synth.cfg"
-        cfg.write_text("sigma = 4e-5\n")
-        flagged = tmp_path / "flagged.xyz"
-        plain = tmp_path / "plain.xyz"
-        assert run("synth", "--object", "cube", "--sigma", "0", "--config", str(cfg),
-                   "--seed", "3", "-o", str(flagged)) == EXIT_OK
-        assert run("synth", "--object", "cube", "--sigma", "0", "--seed", "3",
-                   "-o", str(plain)) == EXIT_OK
-        assert flagged.read_bytes() == plain.read_bytes()
-
-    def test_config_value_outside_choices(self, cube_files, tmp_path, capsys):
-        cloud, constraints = cube_files
-        cfg = tmp_path / "fit.cfg"
-        cfg.write_text("method = bogus\n")
-        capsys.readouterr()
-        code = run("fit", "--cloud", str(cloud), "--constraints", str(constraints),
-                   "--config", str(cfg))
-        assert code == EXIT_INVALID
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ") and "bogus" in err[0]
-
-    def test_unknown_config_key(self, tmp_path, capsys):
-        cfg = tmp_path / "synth.cfg"
-        cfg.write_text("sima = 1e-5\n")
-        code = run("synth", "--object", "cube", "--config", str(cfg),
-                   "-o", str(tmp_path / "x.xyz"))
-        assert code == EXIT_INVALID
-        assert "sima" in capsys.readouterr().err
-
-    def test_malformed_config_line(self, tmp_path, capsys):
-        cfg = tmp_path / "synth.cfg"
-        cfg.write_text("sigma 1e-5\n")
-        code = run("synth", "--object", "cube", "--config", str(cfg),
-                   "-o", str(tmp_path / "x.xyz"))
-        assert code == EXIT_INVALID
-        assert ":1:" in capsys.readouterr().err
-
-    def test_seed_env_fallback(self, tmp_path, monkeypatch):
-        env_out = tmp_path / "env.xyz"
-        flag_out = tmp_path / "flag.xyz"
-        monkeypatch.setenv("MME_SEED", "31")
-        assert run("synth", "--object", "cube", "--sigma", "1e-5",
-                   "-o", str(env_out)) == EXIT_OK
-        monkeypatch.delenv("MME_SEED")
-        assert run("synth", "--object", "cube", "--sigma", "1e-5", "--seed", "31",
-                   "-o", str(flag_out)) == EXIT_OK
-        assert env_out.read_bytes() == flag_out.read_bytes()
-
-    def test_invalid_seed_env(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("MME_SEED", "not-a-number")
-        code = run("synth", "--object", "cube", "-o", str(tmp_path / "x.xyz"))
-        assert code == EXIT_INVALID
-
-
 class TestBench:
     def test_tiny_sweep_writes_csv(self, tmp_path, capsys):
         out = tmp_path / "results.csv"
@@ -443,17 +376,11 @@ class TestBadArguments:
                    "--repeats", "1", "--sigmas", "0", "-o", str(out))
         self.expect_one_error_line(code, capsys)
 
-    def test_config_value(self, tmp_path, capsys):
-        cfg = tmp_path / "synth.cfg"
-        cfg.write_text("view = 9\n")
-        code = run("synth", "--object", "cube", "--config", str(cfg),
-                   "-o", str(tmp_path / "x.xyz"))
-        self.expect_one_error_line(code, capsys)
-
     @pytest.mark.parametrize("argv", [
         ("synth", "--object", "teapot", "-o", "x.xyz"),  # invalid choice
         ("fit", "--cloud", "a", "--constraints", "b", "--iterations", "x"),  # malformed int
         ("synth", "--object", "cube"),  # missing required flag
+        ("synth", "--object", "cube", "--config", "x.cfg", "-o", "x.xyz"),  # removed flag
     ])
     def test_argparse_errors(self, capsys, argv):
         with pytest.raises(SystemExit) as err:
@@ -463,18 +390,26 @@ class TestBadArguments:
 
 class TestParser:
     def test_fit_defaults_are_the_config_defaults(self):
-        fit = build_parser()[1]["fit"]
+        fit = build_parser().parse_args(["fit", "--cloud", "a", "--constraints", "b"])
         mcr, ransac = McRansacConfig(), RansacConfig()
-        assert fit.get_default("iterations") == mcr.iterations
-        assert fit.get_default("tolerance") == mcr.constraint_tolerance_deg
-        assert fit.get_default("pcc_tolerance") == PccConfig().constraint_tolerance_deg
-        assert fit.get_default("k_neighbors") == NormalEstimationConfig().k_neighbors
-        assert fit.get_default("distance_threshold") == ransac.distance_threshold
+        assert fit.iterations == mcr.iterations
+        assert fit.tolerance == mcr.constraint_tolerance_deg
+        assert fit.pcc_tolerance == PccConfig().constraint_tolerance_deg
+        assert fit.k_neighbors == NormalEstimationConfig().k_neighbors
+        assert fit.distance_threshold == ransac.distance_threshold
         # --iterations feeds whichever config the method uses; --sample-size
         # defers to each one's own default: the pair-count rule for mme,
         # RansacConfig.sample_size for the baselines
         assert ransac.iterations == mcr.iterations
-        assert fit.get_default("sample_size") is None and mcr.sample_size is None
+        assert fit.sample_size is None and mcr.sample_size is None
+
+    @pytest.mark.parametrize("argv", [
+        ["synth", "--object", "cube", "-o", "x.xyz"],
+        ["fit", "--cloud", "a", "--constraints", "b"],
+        ["bench", "-o", "x.csv"],
+    ])
+    def test_seed_defaults_to_zero(self, argv):
+        assert build_parser().parse_args(argv).seed == 0
 
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as err:

@@ -238,11 +238,12 @@ class TestBasicsAndValidation:
 
     def test_normal_ok_follows_the_normals(self):
         assert PointCloud(np.zeros((3, 3))).normal_ok is None
-        cloud = PointCloud(np.zeros((3, 3)),
-                           normals=[[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [float("nan"), 1.0, 0.0]])
-        assert cloud.normal_ok.tolist() == [True, False, False]
+        cloud = PointCloud(np.zeros((5, 3)),
+                           normals=[[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [float("nan"), 1.0, 0.0],
+                                    [float("inf"), 0.0, 0.0], [0.0, float("-inf"), 0.0]])
+        assert cloud.normal_ok.tolist() == [True, False, False, False, False]
         cloud.normals[1] = [0.0, 1.0, 0.0]
-        assert cloud.normal_ok.tolist() == [True, True, False]
+        assert cloud.normal_ok.tolist() == [True, True, False, False, False]
         with pytest.raises(TypeError):
             PointCloud(np.zeros((3, 3)), normal_ok=np.ones(3, dtype=bool))
 

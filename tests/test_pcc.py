@@ -609,6 +609,20 @@ class TestRunPcc:
             cloud = estimate_normals(PointCloud(pts), NormalEstimationConfig(k_neighbors=5))
             run_pcc(cloud, ConstraintMatrix(np.array([[0.0]])), PccConfig())
 
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf")])
+    def test_infinite_normal_stays_unclustered(self, value):
+        # an infinite normal is unusable, as a zero or NaN one is: it never
+        # reaches the k-means features (where it made a RuntimeWarning)
+        obj = get_object("cube")
+        cloud = generate_view(obj, turntable_view(obj, 2), noise=NoiseSpec(0.0, 0.0), rng_seed=5)
+        cloud = estimate_normals(cloud, NormalEstimationConfig())
+        cloud.normals[5] = [value, 0.0, 0.0]
+        assert not cloud.normal_ok[5] and cloud.normal_ok.sum() == len(cloud) - 1
+        solution, clustering = run_pcc(cloud, obj.model_matrix, PccConfig(rng_seed=5))
+        assert assignment(clustering, len(cloud))[5] == -1
+        assert all(5 not in g for g in solution_groups(solution, clustering))
+        assert len(solution_groups(solution, clustering)) == 3
+
     def test_cloud_without_normals_raises(self):
         obj = get_object("cube")
         cloud = generate_view(obj, turntable_view(obj, 3), noise=NoiseSpec(0.0, 0.0), rng_seed=5)
