@@ -78,7 +78,7 @@ def _mean_std(devs: np.ndarray) -> tuple[float, float]:
     return float(devs.mean()), float(devs.std())
 
 
-def constraint_error(planes, constraints: ConstraintMatrix, reference_directions=None) -> tuple[float, float]:
+def constraint_error(planes, constraints: ConstraintMatrix, reference_directions) -> tuple[float, float]:
     """Mean/std angular deviation of a plane set from its constraint matrix."""
     return _mean_std(constraint_deviations(planes, constraints, reference_directions))
 

@@ -90,10 +90,10 @@ def _cmd_synth(args) -> int:
 
 
 def _load(read, path: str, noun: str):
-    """Read one input file; a missing or malformed file is a CliError."""
+    """Read one input file; a missing, undecodable or malformed file is a CliError."""
     try:
         return read(path)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {noun} {path}: {exc}") from exc
     except ValueError as exc:
         raise CliError(str(exc)) from exc

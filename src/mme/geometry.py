@@ -108,21 +108,6 @@ def orient(normals, toward=None) -> np.ndarray:
     return np.where(flip[..., None], -n, n)
 
 
-def oriented_normals(normals, reference_directions=None) -> np.ndarray:
-    """Flip each normal, where a reference is given, to within 90 deg of it.
-
-    Angle measurements against obtuse model entries need orientation-
-    consistent normals; references (e.g. per-group mean estimated normals
-    or known outward directions) pin the sign of each fitted normal.
-    """
-    normals = np.asarray(normals, dtype=float)
-    if reference_directions is None:
-        return normals
-    if np.shape(reference_directions) != normals.shape:
-        raise DegenerateInput("need one reference direction per normal")
-    return orient(normals, reference_directions)
-
-
 @dataclass(frozen=True, eq=False)
 class PlaneModel:
     """An infinite plane with fit bookkeeping.

@@ -1,9 +1,10 @@
 """Simultaneous multi-plane RANSAC under inter-plane angle constraints.
 
 One plane hypothesis per point group is drawn, the whole set is accepted
-only if every pairwise angle matches the model, and inliers are then
-grown point by point.  Each group's candidates are tried in a drawn
-order; a candidate is accepted iff the refit of the accepted set plus the
+only if every pairwise angle, between normals turned toward each group's
+reference direction, matches the model, and inliers are then grown point
+by point.  Each group's candidates are tried in a drawn order; a
+candidate is accepted iff the refit of the accepted set plus the
 candidate still meets every constraint pair of its group, and a refit
 that breaks one, or is degenerate, is reverted.  The stored plane is the
 exact total-least-squares refit of the accepted set.  The trials
@@ -26,7 +27,6 @@ from .geometry import (
     angles,
     fit_plane_lsq,
     orient,
-    oriented_normals,
     pair_angles,
     sample_plane,
     scatter_normal,
@@ -95,17 +95,27 @@ def restrict_constraints(model: ConstraintMatrix, solution: PccSolution) -> Cons
     return ConstraintMatrix(sub, label=model.label)
 
 
+def _references(reference_directions, count: int) -> np.ndarray:
+    """The reference directions as a (count, 3) array, one per plane."""
+    refs = np.asarray(reference_directions, dtype=float)
+    if refs.shape != (count, 3):
+        raise DegenerateInput("need one reference direction per plane")
+    return refs
+
+
 def constraint_deviations(planes, constraints: ConstraintMatrix,
-                          reference_directions=None) -> np.ndarray:
+                          reference_directions) -> np.ndarray:
     """|measured - model| angle of every plane pair i < j, in degrees.
 
-    Entries <= 90 are compared orientation-free; obtuse entries compare the
-    raw angle, so reference_directions (e.g. per-group mean normals) should
-    be supplied to fix each plane's orientation when the model has any.
+    Each plane's normal is first turned toward its reference direction
+    (e.g. its group's mean estimated normal).  Entries <= 90 are folded, so
+    the orientation cannot change them; obtuse entries compare the raw
+    angle between the oriented normals.
     """
     if len(planes) != constraints.size:
         raise ValueError("need exactly one plane per constraint row")
-    normals = oriented_normals(np.array([p.normal for p in planes]), reference_directions)
+    normals = orient(np.array([p.normal for p in planes]),
+                     _references(reference_directions, len(planes)))
     model = constraints.entries[upper_pairs(len(planes))]
     return angle_deviation(pair_angles(normals), model)
 
@@ -114,7 +124,7 @@ def check_constraints(
     planes,
     constraints: ConstraintMatrix,
     tolerance_deg: float,
-    reference_directions=None,
+    reference_directions,
 ) -> bool:
     """True iff every pairwise plane angle matches the model within tolerance."""
     devs = constraint_deviations(planes, constraints, reference_directions)
@@ -138,11 +148,11 @@ def _accepted_candidates(points, seed, candidates, others, model_row, reference,
     sums then give every "set + next candidate" trial of a window, and one
     batched scatter_normal fits them all.  A trial passes when its points
     span a plane (fit_plane_lsq's test) and its normal, oriented as
-    check_constraints sees the exact refit (toward the reference, or else
-    canonically), meets the other planes' oriented normals within
-    tolerance.  The window's prefix before its first failure is kept, the
-    failure is reverted, and the next window starts after it, twice as
-    long as the prefix just kept plus one, up to GROWTH_WINDOW.
+    check_constraints sees the exact refit (toward the group's reference),
+    meets the other planes' oriented normals within tolerance.  The
+    window's prefix before its first failure is kept, the failure is
+    reverted, and the next window starts after it, twice as long as the
+    prefix just kept plus one, up to GROWTH_WINDOW.
     """
     origin = points[seed[0]]
 
@@ -182,7 +192,7 @@ def grow_inliers(
     constraints: ConstraintMatrix,
     cfg: McRansacConfig,
     rng,
-    reference_directions=None,
+    reference_directions,
 ) -> MultiPlaneFit:
     """Grow each group's inlier set point by point under the constraints.
 
@@ -203,7 +213,7 @@ def grow_inliers(
     planes = list(planes)
     points = cloud.points
     n = len(planes)
-    refs = None if reference_directions is None else np.asarray(reference_directions, float)
+    refs = _references(reference_directions, n)
     outside = np.ones(points.shape[0], dtype=bool)  # False on the current seed
     for gi, g in enumerate(groups):
         g = np.asarray(g, dtype=int)
@@ -214,10 +224,9 @@ def grow_inliers(
         n_eval = min(rest.shape[0], math.ceil(cfg.min_eval_fraction * g.shape[0]))
         order = rng.permutation(rest.shape[0])[:n_eval]
         others = [j for j in range(n) if j != gi]
-        normals = oriented_normals(np.array([p.normal for p in planes]), refs)
+        normals = orient(np.array([p.normal for p in planes]), refs)
         accepted = _accepted_candidates(points, seed, rest[order], normals[others],
-                                        constraints.entries[gi, others],
-                                        None if refs is None else refs[gi],
+                                        constraints.entries[gi, others], refs[gi],
                                         cfg.constraint_tolerance_deg)
         if accepted.shape[0]:
             final = np.concatenate([seed, accepted])
@@ -232,17 +241,21 @@ def run_mcransac(
     cloud: PointCloud,
     constraints: ConstraintMatrix,
     cfg: McRansacConfig = McRansacConfig(),
-    reference_directions=None,
+    *,
+    reference_directions,
 ) -> MultiPlaneFit:
     """Hypothesize/check/grow loop keeping the best satisfying fit.
 
-    The winner maximizes total inliers, breaking ties on lower mean
-    orthogonal residual and then on the earlier iteration.  Raises
+    reference_directions holds one direction per group (e.g. the mapped
+    clusters' mean normals); every check orients each plane toward its
+    group's.  The winner maximizes total inliers, breaking ties on lower
+    mean orthogonal residual and then on the earlier iteration.  Raises
     NoSatisfyingFit when no hypothesis set meets the constraints.
     """
     groups = [np.asarray(g, dtype=int) for g in groups]
     if len(groups) != constraints.size:
         raise ValueError("need exactly one group per constraint row")
+    refs = _references(reference_directions, len(groups))
     size = cfg.samples_per_plane(len(groups))
     # a child per iteration as it starts, so no iteration count is held as a
     # list of children; they equal SeedSequence.spawn(cfg.iterations), in order
@@ -257,18 +270,15 @@ def run_mcransac(
             if any(g.shape[0] < size for g in groups):
                 raise
             continue
-        if not check_constraints(hyp, constraints, cfg.constraint_tolerance_deg,
-                                 reference_directions):
+        if not check_constraints(hyp, constraints, cfg.constraint_tolerance_deg, refs):
             continue
         fit = grow_inliers(hyp, groups, cloud, constraints, cfg, rng=rng,
-                           reference_directions=reference_directions)
+                           reference_directions=refs)
         fit.iteration = it
         key = (fit.total_inliers, -fit.mean_residual)
         if best is None or key > best_key:
             best, best_key = fit, key
     if best is None:
-        hint = ("; obtuse entries need reference_directions" if reference_directions is None
-                and np.any(constraints.entries > 90.0) else "")
         raise NoSatisfyingFit(
-            f"no hypothesis satisfied the constraints in {cfg.iterations} iterations{hint}")
+            f"no hypothesis satisfied the constraints in {cfg.iterations} iterations")
     return best

@@ -51,6 +51,12 @@ def two_plane_cloud(rng, n_per=80, angle_deg=90.0, jitter=0.0):
     return cloud, [n0, n1]
 
 
+def own_normals(planes) -> np.ndarray:
+    """The planes' own normals as reference directions: orient(n, n) is n,
+    so the constraint checks compare the planes' raw angles."""
+    return np.array([p.normal for p in planes])
+
+
 def skewed_planes(a_deg: float, b_deg: float) -> list[PlaneModel]:
     """Planes through the origin with normals x, y and a third unit normal
     at a_deg to x and b_deg to y; their pair angles are 90, a_deg and b_deg."""

@@ -320,7 +320,7 @@ def reference_iterative(points, iterations, sample_size, distance_threshold, see
 
 
 def reference_grow_inliers(planes, groups, cloud, constraints, cfg, rng,
-                           reference_directions=None):
+                           reference_directions):
     """Guarded growth one candidate at a time: each drawn candidate joins its
     group's inliers, the plane is refit, and every pairwise constraint is
     re-checked; a violation or a degenerate refit reverts the candidate."""
@@ -345,7 +345,7 @@ def reference_grow_inliers(planes, groups, cloud, constraints, cfg, rng,
     return mcransac.MultiPlaneFit(planes, total, float(residuals.mean()))
 
 
-def reference_mcransac(groups, cloud, constraints, cfg, reference_directions=None):
+def reference_mcransac(groups, cloud, constraints, cfg, reference_directions):
     """run_mcransac's loop with every iteration's seed spawned before the
     first hypothesis."""
     groups = [np.asarray(g, dtype=int) for g in groups]

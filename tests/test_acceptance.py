@@ -21,7 +21,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import planar_cloud, random_rotation, skewed_planes
+from conftest import own_normals, planar_cloud, random_rotation, skewed_planes
 from mme.bench import constraint_error, results_csv, run_experiment, summarize, summary_csv
 from mme.cli import EXIT_NO_FIT, EXIT_OK, main
 from mme.geometry import PointCloud, angle_between, angle_deviation, fit_plane_lsq
@@ -61,6 +61,12 @@ REFERENCE_GAMMA = {
 def report(tag: str, ok: bool, detail: str = "") -> bool:
     print(f"[{tag}] {'PASS' if ok else 'FAIL'}{' — ' + detail if detail else ''}")
     return ok
+
+
+def mapped_mean_normals(solution, clustering) -> list:
+    """The reference directions fit_method passes: the mapped clusters'
+    mean normals, in model-plane order."""
+    return [clustering.clusters[c].mean_normal for c in solution.mapping if c is not None]
 
 
 @pytest.fixture(scope="session")
@@ -132,7 +138,8 @@ def test_criterion_03_constraint_soundness(sweep):
     sub = restrict_constraints(obj.model_matrix, solution)
     fit = run_mcransac(groups, cloud, sub,
                        McRansacConfig(iterations=10, sample_size=3, min_eval_fraction=0.05,
-                                      constraint_tolerance_deg=2.0, rng_seed=3))
+                                      constraint_tolerance_deg=2.0, rng_seed=3),
+                       reference_directions=mapped_mean_normals(solution, clustering))
     worst = 0.0
     for i in range(len(fit.planes)):
         for j in range(i + 1, len(fit.planes)):
@@ -147,8 +154,9 @@ def test_criterion_03_constraint_soundness(sweep):
 
 def test_criterion_04_error_metric_arithmetic():
     # pair angles 90, 88 and 91 against an all-90 model: deviations {0, 2, 1}
-    gamma, rho = constraint_error(skewed_planes(88.0, 91.0),
-                                  ConstraintMatrix(90.0 * (1.0 - np.eye(3))))
+    planes = skewed_planes(88.0, 91.0)
+    gamma, rho = constraint_error(planes, ConstraintMatrix(90.0 * (1.0 - np.eye(3))),
+                                  own_normals(planes))
     ok = abs(gamma - 1.0) <= 1e-12 and abs(rho - math.sqrt(2.0 / 3.0)) <= 1e-12
     assert report("criterion 4", ok, f"gamma={gamma!r} rho={rho!r}")
 
@@ -251,7 +259,8 @@ def test_criterion_08_determinism(tmp_path, capsys):
         sub = restrict_constraints(obj.model_matrix, sol)
         fits.append(run_mcransac(groups, cloud, sub,
                                  McRansacConfig(iterations=8, min_eval_fraction=0.2,
-                                                rng_seed=4)))
+                                                rng_seed=4),
+                                 reference_directions=mapped_mean_normals(sol, clustering)))
     if any(p.normal.tobytes() != q.normal.tobytes()
            or not np.array_equal(p.inliers, q.inliers)
            for p, q in zip(fits[0].planes, fits[1].planes)):
@@ -343,7 +352,8 @@ def test_criterion_10_failure_feedback(tmp_path, capsys):
         cloud = PointCloud(np.vstack([left, right]))
         try:
             run_mcransac([np.arange(50), np.arange(50, 100)], cloud, model,
-                         McRansacConfig(iterations=25, rng_seed=seed))
+                         McRansacConfig(iterations=25, rng_seed=seed),
+                         reference_directions=[[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
         except NoSatisfyingFit:
             errors += 1
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import oracle
-from conftest import planar_cloud, skewed_planes
+from conftest import own_normals, planar_cloud, skewed_planes
 from mme import bench
 from mme.bench import (
     CSV_HEADER,
@@ -39,25 +39,28 @@ class TestConstraintError:
     def test_reference_arithmetic(self):
         # pair angles 90, 88 and 91 against an all-90 model: deviations
         # {0, 2, 1}, mean exactly 1, population std sqrt(2/3)
-        gamma, rho = constraint_error(skewed_planes(88.0, 91.0), self.RIGHT)
+        planes = skewed_planes(88.0, 91.0)
+        gamma, rho = constraint_error(planes, self.RIGHT, own_normals(planes))
         assert abs(gamma - 1.0) <= 1e-12
         assert abs(rho - math.sqrt(2.0 / 3.0)) <= 1e-12
 
     def test_folds_like_the_constraint_check(self):
         # a 170 degree pair is 10 degrees apart orientation-free
         planes = skewed_planes(90.0, 170.0)[1:]
-        gamma, rho = constraint_error(planes, ConstraintMatrix([[0.0, 10.0], [10.0, 0.0]]))
+        gamma, rho = constraint_error(planes, ConstraintMatrix([[0.0, 10.0], [10.0, 0.0]]),
+                                      own_normals(planes))
         assert gamma == pytest.approx(0.0, abs=1e-9) and rho == 0.0
 
     def test_length_mismatch(self):
+        planes = skewed_planes(90.0, 90.0)[:2]
         with pytest.raises(ValueError, match="one plane per constraint row"):
-            constraint_error(skewed_planes(90.0, 90.0)[:2], self.RIGHT)
+            constraint_error(planes, self.RIGHT, own_normals(planes))
 
     def test_planes_against_matrix(self, rng):
         p = fit_plane_lsq(planar_cloud(rng, 30, [0.0, 0.0, 1.0]), np.arange(30))
         q = fit_plane_lsq(planar_cloud(rng, 30, [1.0, 0.0, 0.0], offset=1.0), np.arange(30))
         gamma, rho = constraint_error([p, q], ConstraintMatrix(
-            np.array([[0.0, 88.0], [88.0, 0.0]])))
+            np.array([[0.0, 88.0], [88.0, 0.0]])), own_normals([p, q]))
         assert gamma == pytest.approx(2.0, abs=1e-9)
         assert rho == pytest.approx(0.0, abs=1e-12)
 
@@ -73,7 +76,8 @@ class TestConstraintError:
 
     def test_single_plane_is_zero(self, rng):
         p = fit_plane_lsq(planar_cloud(rng, 20, [0.0, 0.0, 1.0]), np.arange(20))
-        assert constraint_error([p], ConstraintMatrix(np.array([[0.0]]))) == (0.0, 0.0)
+        assert constraint_error([p], ConstraintMatrix(np.array([[0.0]])),
+                                own_normals([p])) == (0.0, 0.0)
 
 
 class TestSeeding:

@@ -28,10 +28,12 @@ def cube_files(tmp_path):
     return out, out.with_suffix(".constraints")
 
 
-def synth_files(tmp_path, name: str, view: int, seed: int = 7) -> list[str]:
-    """The fit flags for a README-noise view of a built-in object."""
+def synth_files(tmp_path, name: str, view: int, seed: int = 7,
+                sigma: str = "4e-5") -> list[str]:
+    """The fit flags for a view of a built-in object, at README's noise
+    unless a sigma is given."""
     out = tmp_path / f"{name}_{view}.xyz"
-    assert run("synth", "--object", name, "--view", str(view), "--sigma", "4e-5",
+    assert run("synth", "--object", name, "--view", str(view), "--sigma", sigma,
                "--seed", str(seed), "-o", str(out)) == EXIT_OK
     return ["--cloud", str(out), "--constraints", str(out.with_suffix(".constraints"))]
 
@@ -139,16 +141,22 @@ class TestFit:
         folded = np.minimum(angles, 180.0 - angles)
         assert len(normals) >= 2 and folded.min() > 10.0, folded
 
-    @pytest.mark.parametrize("flags, first", [
-        ((), "planes=3 gamma=0.075500 rho=0.062830 inliers=3380/3380"),
-        (("--method", "clustered"), "planes=3 gamma=0.166537 rho=0.093660 inliers=411/3380"),
-        (("--method", "iterative", "--distance-threshold", "0.02"),
+    @pytest.mark.parametrize("name, view, sigma, flags, first", [
+        ("cube", 2, "4e-5", (), "planes=3 gamma=0.075500 rho=0.062830 inliers=3380/3380"),
+        ("cube", 2, "4e-5", ("--method", "clustered"),
+         "planes=3 gamma=0.166537 rho=0.093660 inliers=411/3380"),
+        ("cube", 2, "4e-5", ("--method", "iterative", "--distance-threshold", "0.02"),
          "planes=3 gamma=0.103025 rho=0.066007 inliers=3327/3380"),
-    ], ids=["mme", "clustered", "iterative"])
-    def test_quick_start_first_line(self, tmp_path, capsys, flags, first):
-        # README's quick-start cloud; every method's fit is pinned by the
-        # line it prints first
-        files = synth_files(tmp_path, "cube", 2)
+        ("double_pyramid", 1, "6e-5", (),
+         "planes=4 gamma=0.479828 rho=0.442305 inliers=1980/2289"),
+        ("double_pyramid", 2, "4e-5", (),
+         "planes=4 gamma=0.237839 rho=0.161588 inliers=2291/2291"),
+    ], ids=["mme", "clustered", "iterative", "double_pyramid-view1", "double_pyramid-view2"])
+    def test_quick_start_first_line(self, tmp_path, capsys, name, view, sigma, flags, first):
+        # README's quick-start cloud, and the two double-pyramid fits CI
+        # pins, whose obtuse model entries are checked on oriented normals;
+        # every fit is pinned by the line it prints first
+        files = synth_files(tmp_path, name, view, sigma=sigma)
         capsys.readouterr()
         assert run("fit", *files, "--seed", "7", *flags) == EXIT_OK
         assert capsys.readouterr().out.splitlines()[0] == first
@@ -219,13 +227,17 @@ class TestFit:
 
     @pytest.mark.parametrize("missing", ["cloud", "constraints"])
     def test_unreadable_file_is_named(self, cube_files, tmp_path, capsys, missing):
-        files = dict(zip(("cloud", "constraints"), map(str, cube_files)))
-        files[missing] = str(tmp_path / "absent")
-        capsys.readouterr()
-        code = run("fit", "--cloud", files["cloud"], "--constraints", files["constraints"])
-        assert code == EXIT_INVALID
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith(f"error: cannot read {missing} "), err
+        # an absent file, and one that is not UTF-8 text
+        undecodable = tmp_path / "undecodable"
+        undecodable.write_bytes(b"\xff\xfe2\n")
+        for path in (tmp_path / "absent", undecodable):
+            files = dict(zip(("cloud", "constraints"), map(str, cube_files)))
+            files[missing] = str(path)
+            capsys.readouterr()
+            code = run("fit", "--cloud", files["cloud"], "--constraints", files["constraints"])
+            assert code == EXIT_INVALID
+            err = capsys.readouterr().err.strip().splitlines()
+            assert len(err) == 1 and err[0].startswith(f"error: cannot read {missing} {path}: "), err
 
     def test_no_admissible_assignment_exits_two(self, cube_files, capsys, monkeypatch):
         # mme fit reaches the clustering through bench.fit_method

@@ -17,7 +17,6 @@ from mme.geometry import (
     as_unit,
     fit_plane_lsq,
     orient,
-    oriented_normals,
     pair_angles,
     upper_pairs,
 )
@@ -196,16 +195,8 @@ class TestNormalConventions:
     def test_oriented_normals_flips_toward_references(self):
         normals = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
         refs = np.array([[0.0, 0.0, -1.0], [0.0, 0.1, 1.0]])
-        out = oriented_normals(normals, refs)
+        out = orient(normals, refs)
         assert np.allclose(out, [[0, 0, -1.0], [0, 0, 1.0]])
-
-    def test_oriented_normals_passthrough_without_references(self):
-        normals = np.array([[0.0, 1.0, 0.0]])
-        assert oriented_normals(normals) is normals
-
-    def test_oriented_normals_shape_mismatch(self):
-        with pytest.raises(DegenerateInput):
-            oriented_normals(np.eye(3), np.eye(2))
 
 
 class TestBasicsAndValidation:

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import planar_cloud, redraw_scene, two_plane_cloud
+from conftest import own_normals, planar_cloud, redraw_scene, two_plane_cloud
 from mme import mcransac
 from mme.geometry import (
     DegenerateInput,
@@ -15,7 +15,6 @@ from mme.geometry import (
     PointCloud,
     angle_between,
     fit_plane_lsq,
-    orient,
     pair_angles,
     sample_plane,
     upper_pairs,
@@ -29,12 +28,13 @@ from mme.mcransac import (
     restrict_constraints,
     run_mcransac,
 )
-from mme.normals import estimate_normals
-from mme.pcc import EMPTY, ConstraintMatrix, PccConfig, PccSolution, run_pcc, solution_groups
-from mme.synth import NoiseSpec, generate_view, get_object, turntable_view
+from mme.pcc import EMPTY, ConstraintMatrix, PccSolution
 from oracle import reference_grow_inliers, reference_hypothesize, reference_mcransac
 
 RIGHT_ANGLE = ConstraintMatrix(np.array([[0.0, 90.0], [90.0, 0.0]]))
+
+#: references for two patches of the plane z = 0
+COPLANAR_REFS = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
 
 
 def label_index_groups(cloud):
@@ -75,13 +75,15 @@ class TestCheckConstraints:
     def test_within_and_outside_tolerance(self, rng):
         good = self.planes(89.0, rng)
         bad = self.planes(80.0, rng)
-        assert check_constraints(good, RIGHT_ANGLE, 2.0)
-        assert not check_constraints(bad, RIGHT_ANGLE, 2.0)
+        assert check_constraints(good, RIGHT_ANGLE, 2.0, own_normals(good))
+        assert not check_constraints(bad, RIGHT_ANGLE, 2.0, own_normals(bad))
 
     def test_acute_entries_ignore_orientation(self, rng):
         planes = self.planes(90.0, rng)
         flipped = [planes[0], fit_plane_lsq(planar_cloud(rng, 30, [-np.sin(np.pi / 2), 0, -np.cos(np.pi / 2)], offset=1.0), np.arange(30))]
-        assert check_constraints(flipped, RIGHT_ANGLE, 2.0)
+        # the second reference turns its normal over; a right angle stays one
+        refs = own_normals(flipped) * [[1.0], [-1.0]]
+        assert check_constraints(flipped, RIGHT_ANGLE, 2.0, refs)
 
     def test_obtuse_entries_need_references(self, rng):
         model = ConstraintMatrix(np.array([[0.0, 135.0], [135.0, 0.0]]))
@@ -94,8 +96,25 @@ class TestCheckConstraints:
         assert not check_constraints(planes, model, 2.0, reference_directions=refs_bad)
 
     def test_plane_count_mismatch(self, rng):
+        planes = self.planes(90.0, rng)[:1]
         with pytest.raises(ValueError):
-            check_constraints(self.planes(90.0, rng)[:1], RIGHT_ANGLE, 2.0)
+            check_constraints(planes, RIGHT_ANGLE, 2.0, own_normals(planes))
+
+    def test_reference_count_must_match_the_planes(self, rng):
+        # check_constraints, grow_inliers and run_mcransac each take one
+        # reference direction per plane, and raise on any other count
+        cloud, normals = two_plane_cloud(rng, n_per=40)
+        groups = label_index_groups(cloud)
+        cfg = McRansacConfig(iterations=2, sample_size=3)
+        planes = hypothesize(groups, cloud, cfg, np.random.default_rng(0))
+        for refs in (normals[:1], normals + normals, np.ravel(normals)):
+            with pytest.raises(DegenerateInput, match="one reference direction per plane"):
+                check_constraints(planes, RIGHT_ANGLE, 2.0, refs)
+            with pytest.raises(DegenerateInput, match="one reference direction per plane"):
+                grow_inliers(planes, groups, cloud, RIGHT_ANGLE, cfg,
+                             np.random.default_rng(0), refs)
+            with pytest.raises(DegenerateInput, match="one reference direction per plane"):
+                run_mcransac(groups, cloud, RIGHT_ANGLE, cfg, reference_directions=refs)
 
     def test_many_planes_measure_like_angle_between(self, rng):
         # 14 planes against their own angle_between matrix: zero tolerance
@@ -109,14 +128,14 @@ class TestCheckConstraints:
             for i in range(14):
                 for j in range(i + 1, 14):
                     entries[i, j] = entries[j, i] = angle_between(normals[i], normals[j])
-            assert check_constraints(planes, ConstraintMatrix(entries), 0.0)
+            assert check_constraints(planes, ConstraintMatrix(entries), 0.0, normals)
         # only the upper triangle is compared; the lower may lag by 1e-7
         lagged = entries + np.tril(np.full_like(entries, 1e-7), k=-1)
-        assert check_constraints(planes, ConstraintMatrix(lagged), 0.0)
+        assert check_constraints(planes, ConstraintMatrix(lagged), 0.0, normals)
         entries[11, 13] += 1.0
         entries[13, 11] += 1.0
-        assert check_constraints(planes, ConstraintMatrix(entries), 1.5)
-        assert not check_constraints(planes, ConstraintMatrix(entries), 0.5)
+        assert check_constraints(planes, ConstraintMatrix(entries), 1.5, normals)
+        assert not check_constraints(planes, ConstraintMatrix(entries), 0.5, normals)
 
 
 class TestHypothesize:
@@ -222,12 +241,12 @@ class TestSampleRule:
 
 class TestGrowInliers:
     def test_grows_to_full_groups_on_clean_data(self, rng):
-        cloud, _ = two_plane_cloud(rng, n_per=60)
+        cloud, normals = two_plane_cloud(rng, n_per=60)
         groups = label_index_groups(cloud)
         cfg = McRansacConfig(sample_size=3, min_eval_fraction=1.0)
         draws = np.random.default_rng(2)
         planes = hypothesize(groups, cloud, cfg, draws)
-        fit = grow_inliers(planes, groups, cloud, RIGHT_ANGLE, cfg, draws)
+        fit = grow_inliers(planes, groups, cloud, RIGHT_ANGLE, cfg, draws, normals)
         assert fit.total_inliers == len(cloud)
         assert fit.mean_residual < 1e-9
 
@@ -235,7 +254,7 @@ class TestGrowInliers:
         # a gross outlier inside a group must not survive: growing onto it
         # tilts the refit plane past the angle tolerance, so the step is
         # rolled back (and hypotheses sampling it never pass the check)
-        cloud, _ = two_plane_cloud(rng, n_per=12)
+        cloud, normals = two_plane_cloud(rng, n_per=12)
         pts = cloud.points.copy()
         outlier = len(pts)
         pts = np.vstack([pts, [0.3, 0.1, 1.5]])  # far off the z=0 patch
@@ -244,26 +263,23 @@ class TestGrowInliers:
         groups = label_index_groups(spiked)
         cfg = McRansacConfig(iterations=15, sample_size=3, min_eval_fraction=1.0,
                              rng_seed=4)
-        fit = run_mcransac(groups, spiked, RIGHT_ANGLE, cfg)
+        fit = run_mcransac(groups, spiked, RIGHT_ANGLE, cfg, reference_directions=normals)
         gathered = np.concatenate([p.inliers for p in fit.planes])
         assert outlier not in gathered
         assert fit.total_inliers == len(spiked) - 1
 
 
-def faceted_scene(seed, n_planes, n_per=150, jitter=0.004, outliers=6, references=True):
+def faceted_scene(seed, n_planes, n_per=150, jitter=0.004, outliers=6):
     """n_planes noisy patches with random normals, a few points per patch
     pushed off it, and the model of their pairwise angles.
 
-    With references the model holds the raw angles between the true
-    normals, which are the references; without, the angles between their
-    canonical forms.  Either way many entries are obtuse.  Returns (cloud,
-    groups, model, references or None).
+    The model holds the raw angles between the true normals, which are the
+    references, so many entries are obtuse.  Returns (cloud, groups, model,
+    references).
     """
     rng = np.random.default_rng(seed)
     normals = rng.normal(size=(n_planes, 3))
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-    if not references:
-        normals = orient(normals)
     patches = []
     for i, v in enumerate(normals):
         pts = planar_cloud(rng, n_per, v, offset=2.0 + i, jitter=jitter)
@@ -273,8 +289,7 @@ def faceted_scene(seed, n_planes, n_per=150, jitter=0.004, outliers=6, reference
     entries[upper_pairs(n_planes)] = pair_angles(normals)
     entries += entries.T
     groups = [np.arange(i * n_per, (i + 1) * n_per) for i in range(n_planes)]
-    return (PointCloud(np.vstack(patches)), groups, ConstraintMatrix(entries),
-            normals if references else None)
+    return PointCloud(np.vstack(patches)), groups, ConstraintMatrix(entries), normals
 
 
 def assert_same_fit(got, want):
@@ -331,22 +346,20 @@ class TestGrowInliersOracle:
     bit, and the same stream consumed."""
 
     @pytest.mark.parametrize("n_planes", [2, 3, 5])
-    @pytest.mark.parametrize("references", [True, False])
     @pytest.mark.parametrize("fraction", [1.0, 0.3])
-    def test_matches_reference_growth(self, n_planes, references, fraction):
-        cloud, groups, model, refs = faceted_scene(n_planes, n_planes, references=references)
+    def test_matches_reference_growth(self, n_planes, fraction):
+        cloud, groups, model, refs = faceted_scene(n_planes, n_planes)
         assert (model.entries > 90.0).any()
         cfg = McRansacConfig(sample_size=8, constraint_tolerance_deg=1.5,
                              min_eval_fraction=fraction)
         accepted, reverted = grow_all(cloud, groups, model, cfg, refs, range(30))
         assert accepted > 0 and reverted > 0
 
-    @pytest.mark.parametrize("references", [True, False])
-    def test_dense_reverts_off_the_model(self, references):
+    def test_dense_reverts_off_the_model(self):
         # every model angle is 2 deg off the true one, beyond the 1.5 deg
         # tolerance: growth drifts toward the true planes and many trials
         # on the way are reverted
-        cloud, groups, model, refs = faceted_scene(2, 2, references=references)
+        cloud, groups, model, refs = faceted_scene(2, 2)
         entries = model.entries.copy()
         off = ~np.eye(2, dtype=bool)
         entries[off] += np.where(entries[off] < 90.0, 2.0, -2.0)
@@ -394,18 +407,21 @@ class TestDegenerateGrowth:
         cloud = PointCloud(np.vstack([flat, [[1e9, 0.0, 0.0]], wall]))
         return cloud, [np.arange(21), np.arange(21, 41)]
 
+    #: the true normals of the flat patch and the wall
+    REFS = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+
     def test_fit_keeps_everything_but_the_far_point(self):
         cloud, groups = self.scene()
         cfg = McRansacConfig(iterations=5, min_eval_fraction=1.0,
                              constraint_tolerance_deg=5.0, rng_seed=1)
-        fit = run_mcransac(groups, cloud, RIGHT_ANGLE, cfg)
+        fit = run_mcransac(groups, cloud, RIGHT_ANGLE, cfg, reference_directions=self.REFS)
         assert fit.total_inliers == 40
         assert 20 not in np.concatenate([p.inliers for p in fit.planes])
 
     def test_matches_reference_growth(self):
         cloud, groups = self.scene()
         cfg = McRansacConfig(constraint_tolerance_deg=5.0)
-        accepted, reverted = grow_all(cloud, groups, RIGHT_ANGLE, cfg, None, range(10))
+        accepted, reverted = grow_all(cloud, groups, RIGHT_ANGLE, cfg, self.REFS, range(10))
         assert accepted > 0 and reverted > 0
 
 
@@ -415,7 +431,7 @@ class TestRunMcransac:
         groups = label_index_groups(cloud)
         cfg = McRansacConfig(iterations=10, sample_size=3, min_eval_fraction=1.0,
                              rng_seed=7)
-        fit = run_mcransac(groups, cloud, RIGHT_ANGLE, cfg)
+        fit = run_mcransac(groups, cloud, RIGHT_ANGLE, cfg, reference_directions=normals)
         assert fit.total_inliers == len(cloud)
         assert fit.iteration >= 0
         for plane, n in zip(fit.planes, normals):
@@ -423,11 +439,11 @@ class TestRunMcransac:
             assert min(a, 180.0 - a) < 1e-6
 
     def test_noisy_wedge_stays_within_tolerance(self, rng):
-        cloud, _ = two_plane_cloud(rng, n_per=150, jitter=0.01)
+        cloud, normals = two_plane_cloud(rng, n_per=150, jitter=0.01)
         groups = label_index_groups(cloud)
         cfg = McRansacConfig(iterations=20, sample_size=5, min_eval_fraction=0.2,
                              constraint_tolerance_deg=2.0, rng_seed=3)
-        fit = run_mcransac(groups, cloud, RIGHT_ANGLE, cfg)
+        fit = run_mcransac(groups, cloud, RIGHT_ANGLE, cfg, reference_directions=normals)
         measured = angle_between(fit.planes[0].normal, fit.planes[1].normal)
         assert abs(min(measured, 180.0 - measured) - 90.0) <= 2.0
 
@@ -439,40 +455,23 @@ class TestRunMcransac:
         cloud = PointCloud(np.vstack([left, right]))
         groups = [np.arange(60), np.arange(60, 120)]
         with pytest.raises(NoSatisfyingFit):
-            run_mcransac(groups, cloud, RIGHT_ANGLE,
-                         McRansacConfig(iterations=25, rng_seed=1))
-
-    def test_obtuse_model_without_references_says_so(self):
-        # double pyramid, view 1: the mapped planes meet at 135 and 120 deg,
-        # which canonically signed normals cannot show without references
-        obj = get_object("double_pyramid")
-        cloud = estimate_normals(generate_view(obj, turntable_view(obj, 1),
-                                               noise=NoiseSpec(sigma=4e-5), rng_seed=11))
-        solution, clustering = run_pcc(cloud, obj.model_matrix, PccConfig(rng_seed=11))
-        groups = solution_groups(solution, clustering)
-        sub = restrict_constraints(obj.model_matrix, solution)
-        assert (sub.entries > 90.0).any()
-        with pytest.raises(NoSatisfyingFit, match=r"in 50 iterations; obtuse entries need "
-                                                  r"reference_directions$"):
-            run_mcransac(groups, cloud, sub, McRansacConfig(rng_seed=11))
-        refs = [clustering.clusters[c].mean_normal for c in solution.mapping if c is not None]
-        fit = run_mcransac(groups, cloud, sub, McRansacConfig(rng_seed=11),
-                           reference_directions=refs)
-        assert len(fit.planes) == sub.size
+            run_mcransac(groups, cloud, RIGHT_ANGLE, McRansacConfig(iterations=25, rng_seed=1),
+                         reference_directions=COPLANAR_REFS)
 
     def test_acute_model_message_is_unchanged(self, rng):
         cloud = PointCloud(planar_cloud(rng, 120, [0.0, 0.0, 1.0], jitter=0.002))
         with pytest.raises(NoSatisfyingFit, match=r"in 5 iterations$"):
             run_mcransac([np.arange(60), np.arange(60, 120)], cloud, RIGHT_ANGLE,
-                         McRansacConfig(iterations=5, rng_seed=1))
+                         McRansacConfig(iterations=5, rng_seed=1),
+                         reference_directions=COPLANAR_REFS)
 
     def test_deterministic(self, rng):
-        cloud, _ = two_plane_cloud(rng, n_per=70, jitter=0.005)
+        cloud, normals = two_plane_cloud(rng, n_per=70, jitter=0.005)
         groups = label_index_groups(cloud)
         cfg = McRansacConfig(iterations=8, sample_size=4, min_eval_fraction=0.5,
                              rng_seed=21)
-        one = run_mcransac(groups, cloud, RIGHT_ANGLE, cfg)
-        two = run_mcransac(groups, cloud, RIGHT_ANGLE, cfg)
+        one = run_mcransac(groups, cloud, RIGHT_ANGLE, cfg, reference_directions=normals)
+        two = run_mcransac(groups, cloud, RIGHT_ANGLE, cfg, reference_directions=normals)
         assert one.iteration == two.iteration
         assert one.total_inliers == two.total_inliers
         for p, q in zip(one.planes, two.planes):
@@ -483,12 +482,12 @@ class TestRunMcransac:
     def test_matches_up_front_seeding(self, rng, seed, iterations):
         # spawning one child per iteration gives the children that spawning
         # them all before the loop gave, in the same order
-        cloud, _ = two_plane_cloud(rng, n_per=70, jitter=0.005)
+        cloud, normals = two_plane_cloud(rng, n_per=70, jitter=0.005)
         groups = label_index_groups(cloud)
         cfg = McRansacConfig(iterations=iterations, sample_size=4, min_eval_fraction=0.3,
                              constraint_tolerance_deg=2.0, rng_seed=seed)
-        fit = run_mcransac(groups, cloud, RIGHT_ANGLE, cfg)
-        ref = reference_mcransac(groups, cloud, RIGHT_ANGLE, cfg)
+        fit = run_mcransac(groups, cloud, RIGHT_ANGLE, cfg, reference_directions=normals)
+        ref = reference_mcransac(groups, cloud, RIGHT_ANGLE, cfg, normals)
         assert fit.iteration == ref.iteration
         assert fit.total_inliers == ref.total_inliers
         for plane, want in zip(fit.planes, ref.planes):
@@ -497,9 +496,10 @@ class TestRunMcransac:
             assert np.array_equal(plane.inliers, want.inliers)
 
     def test_group_count_must_match_constraints(self, rng):
-        cloud, _ = two_plane_cloud(rng)
+        cloud, normals = two_plane_cloud(rng)
         with pytest.raises(ValueError):
-            run_mcransac([np.arange(10)], cloud, RIGHT_ANGLE, McRansacConfig())
+            run_mcransac([np.arange(10)], cloud, RIGHT_ANGLE, McRansacConfig(),
+                         reference_directions=normals[:1])
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
