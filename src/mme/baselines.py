@@ -67,13 +67,11 @@ def clustered_ransac(groups, cloud: PointCloud,
     ]
 
 
-def iterative_ransac(
-    cloud: PointCloud,
-    cfg: RansacConfig = RansacConfig(),
-    min_inlier_fraction: float = 0.05,
-) -> list[PlaneModel]:
+def iterative_ransac(cloud: PointCloud, cfg: RansacConfig = RansacConfig(), *,
+                     min_inlier_fraction: float) -> list[PlaneModel]:
     """Greedy sequential extraction: fit the dominant plane, remove its
-    inliers, repeat until a plane explains too little of the cloud."""
+    inliers, repeat until a plane explains less than min_inlier_fraction
+    of the cloud."""
     n = len(cloud)
     min_count = max(math.ceil(min_inlier_fraction * n), cfg.sample_size)
     seq = np.random.SeedSequence(cfg.rng_seed)

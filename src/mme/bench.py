@@ -108,17 +108,17 @@ class MethodFit:
 
 
 def fit_method(method: str, cloud, model: ConstraintMatrix, cfg, pcc_cfg: PccConfig,
-               normal_cfg: NormalEstimationConfig, fit: MethodFit | None = None,
-               **options) -> MethodFit:
+               normal_cfg: NormalEstimationConfig, fit: MethodFit | None = None, *,
+               min_inlier_fraction: float = 0.05) -> MethodFit:
     """Fit one method's planes to a raw cloud and map them onto the model.
 
     `mme` and `clustered` estimate normals and fit the groups that PCC maps,
     with run_mcransac or clustered_ransac under cfg.  `iterative` runs
-    iterative_ransac (options such as min_inlier_fraction are passed on to
-    it, and ignored by the other methods) and makes each plane a cluster of
-    its inliers, its normal turned toward the sensor at the origin as
-    estimated normals are; assign_clusters then maps those clusters.  The
-    reference directions are the mapped clusters' mean normals.
+    iterative_ransac until a plane holds less than min_inlier_fraction of
+    the cloud, and makes each plane a cluster of its inliers, its normal
+    turned toward the sensor at the origin as estimated normals are;
+    assign_clusters then maps those clusters.  The reference directions are
+    the mapped clusters' mean normals.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {', '.join(METHODS)}")
@@ -126,7 +126,7 @@ def fit_method(method: str, cloud, model: ConstraintMatrix, cfg, pcc_cfg: PccCon
     if method == "iterative":
         if len(cloud) < cfg.sample_size:
             raise DegenerateInput(f"{len(cloud)} points cannot seed a sample of {cfg.sample_size}")
-        found = iterative_ransac(cloud, cfg, **options)
+        found = iterative_ransac(cloud, cfg, min_inlier_fraction=min_inlier_fraction)
         if not found:
             raise NoPlaneFound("no plane found")
         # -offset * normal points from the plane to the sensor at the origin

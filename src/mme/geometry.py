@@ -93,19 +93,12 @@ def angle_deviation(measured_deg, model_deg):
     return np.abs(np.where(model <= 90.0, fold(measured), measured) - model)[()]
 
 
-def orient(normals, toward=None) -> np.ndarray:
+def orient(normals, toward) -> np.ndarray:
     """Normals along the last axis, each flipped to within 90 deg of
-    ``toward`` (broadcast), or else to the canonical sign that makes every
-    plane's normal unique: the largest-magnitude component >= 0, the first
-    of x, y, z on ties.  A batch equals its rows oriented one by one."""
+    ``toward`` (broadcast against them).  A batch equals its rows oriented
+    one by one."""
     n = np.asarray(normals, dtype=float)
-    if toward is not None:
-        flip = np.vecdot(n, toward) < 0.0
-    elif n.ndim == 1:  # one normal, as every plane fit has: indexing beats a gather
-        return -n if n[np.argmax(np.abs(n))] < 0.0 else n
-    else:  # argmax returns the first of ties
-        flip = np.take_along_axis(n, np.abs(n).argmax(axis=-1)[..., None], axis=-1)[..., 0] < 0.0
-    return np.where(flip[..., None], -n, n)
+    return np.where((np.vecdot(n, toward) < 0.0)[..., None], -n, n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,8 +140,9 @@ def fit_plane_lsq(points, indices) -> PlaneModel:
 
     Minimizes the sum of squared orthogonal distances: the plane passes
     through the centroid with normal along the smallest principal axis of
-    the centered covariance.  The normal is canonicalized so results do
-    not depend on point order or eigensolver sign conventions.
+    the centered covariance.  The normal takes the canonical sign, so the
+    fit does not depend on point order or eigensolver sign conventions:
+    its largest-magnitude component is >= 0, the first of x, y, z on ties.
     ``indices`` name the points in their cloud and become the inliers.
 
     Raises DegenerateInput for < 3 points, a NaN or infinite coordinate,
@@ -166,7 +160,9 @@ def fit_plane_lsq(points, indices) -> PlaneModel:
     normal, planar = scatter_normal(centered.T @ centered)
     if not planar:
         raise DegenerateInput("points are collinear or coincident")
-    normal = orient(as_unit(normal))
+    normal = as_unit(normal)
+    if normal[np.argmax(np.abs(normal))] < 0.0:  # argmax returns the first of ties
+        normal = -normal
     offset = float(normal @ centroid)
     return PlaneModel(normal, offset, np.asarray(indices, dtype=int))
 

@@ -96,10 +96,13 @@ def restrict_constraints(model: ConstraintMatrix, solution: PccSolution) -> Cons
 
 
 def _references(reference_directions, count: int) -> np.ndarray:
-    """The reference directions as a (count, 3) array, one per plane."""
+    """The reference directions as a (count, 3) array of finite, non-zero rows."""
     refs = np.asarray(reference_directions, dtype=float)
     if refs.shape != (count, 3):
         raise DegenerateInput("need one reference direction per plane")
+    largest = np.abs(refs).max(axis=1)  # NaN propagates; a zero row orients nothing
+    if not ((largest > 0.0) & (largest < math.inf)).all():
+        raise DegenerateInput("reference directions must be finite and non-zero")
     return refs
 
 

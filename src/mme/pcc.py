@@ -30,6 +30,15 @@ class NoSolution(RuntimeError):
     """No cluster-to-model-plane assignment satisfies the constraints."""
 
 
+class BadEntry(ValueError):
+    """A constraint matrix entry breaks a rule; ``row`` holds the first True
+    of ``bad`` in row-major order, sought only once a rule has failed."""
+
+    def __init__(self, message: str, bad):
+        super().__init__(message)
+        self.row = int(np.argwhere(bad)[0, 0])
+
+
 @dataclass(eq=False)
 class ConstraintMatrix:
     """Symmetric matrix of pairwise plane angles in degrees.
@@ -50,13 +59,16 @@ class ConstraintMatrix:
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise ValueError(f"constraint matrix must be square, got {m.shape}")
         if not np.all(np.isfinite(m)):
-            raise ValueError("constraint matrix entries must be finite")
+            raise BadEntry("constraint matrix entries must be finite", ~np.isfinite(m))
         if np.any(m < 0.0) or np.any(m > 180.0):
-            raise ValueError("constraint angles must lie in [0, 180] degrees")
+            raise BadEntry("constraint angles must lie in [0, 180] degrees", (m < 0.0) | (m > 180.0))
         if np.max(np.abs(m - m.T)) > 1e-6:
-            raise ValueError("constraint matrix must be symmetric")
+            bad = np.tril(np.abs(m - m.T) > 1e-6)  # the lower entry is the one read as a mirror
+            i, j = np.argwhere(bad)[0]
+            raise BadEntry(f"entry ({i + 1},{j + 1})={m[i, j]:g} does not mirror "
+                           f"({j + 1},{i + 1})={m[j, i]:g}", bad)
         if np.max(np.abs(np.diag(m))) > 1e-9:
-            raise ValueError("constraint matrix diagonal must be zero")
+            raise BadEntry("constraint matrix diagonal must be zero", np.abs(np.diag(m)) > 1e-9)
         self.entries = np.where(np.tri(m.shape[0], k=-1, dtype=bool), m.T, m)
 
     @property
@@ -103,19 +115,10 @@ def read_constraint_matrix(path) -> ConstraintMatrix:
         raise ValueError(f"{path}: line 1: empty constraint file")
     if len(rows) != n:
         raise ValueError(f"{path}: line {len(raw)}: expected {n} rows, got {len(rows)}")
-    entries = np.array([r for _, r in rows], dtype=float)
-    with np.errstate(invalid="ignore"):  # inf - inf is NaN, which passes here
-        asymmetric = np.argwhere(np.triu(np.abs(entries - entries.T) > 1e-6, 1))
-    if asymmetric.size:
-        i, j = asymmetric[0]  # the first pair in row-major order
-        raise ValueError(
-            f"{path}: line {rows[j][0]}: entry ({j + 1},{i + 1})={entries[j, i]:g} "
-            f"does not mirror ({i + 1},{j + 1})={entries[i, j]:g}"
-        )
     try:
-        return ConstraintMatrix(entries)
-    except ValueError as err:
-        raise ValueError(f"{path}: line {rows[0][0]}: {err}") from None
+        return ConstraintMatrix(np.array([r for _, r in rows], dtype=float))
+    except BadEntry as err:
+        raise ValueError(f"{path}: line {rows[err.row][0]}: {err}") from None
 
 
 def write_constraint_matrix(path, matrix: ConstraintMatrix) -> None:

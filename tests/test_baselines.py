@@ -62,7 +62,8 @@ class TestIterativeRansac:
         view = turntable_view(obj, 2)
         cloud = generate_view(obj, view, noise=NoiseSpec(0.0, 0.0), rng_seed=1)
         planes = iterative_ransac(cloud, RansacConfig(iterations=40, rng_seed=1,
-                                                      distance_threshold=1e-6))
+                                                      distance_threshold=1e-6),
+                                  min_inlier_fraction=0.05)
         assert len(planes) == 3
         gt = face_normals_in_view(obj, view)
         matched = set()
@@ -86,13 +87,13 @@ class TestIterativeRansac:
 
     def test_too_small_cloud_returns_nothing(self, rng):
         cloud = PointCloud(rng.normal(size=(2, 3)))
-        assert iterative_ransac(cloud, RansacConfig()) == []
+        assert iterative_ransac(cloud, RansacConfig(), min_inlier_fraction=0.05) == []
 
     def test_deterministic(self, rng):
         cloud, _ = two_plane_cloud(rng, n_per=80, jitter=0.01)
         cfg = RansacConfig(iterations=10, rng_seed=9, distance_threshold=0.03)
-        a = iterative_ransac(cloud, cfg)
-        b = iterative_ransac(cloud, cfg)
+        a = iterative_ransac(cloud, cfg, min_inlier_fraction=0.05)
+        b = iterative_ransac(cloud, cfg, min_inlier_fraction=0.05)
         assert len(a) == len(b)
         for p, q in zip(a, b):
             assert p.normal.tobytes() == q.normal.tobytes()

@@ -27,7 +27,7 @@ from mme.bench import (
 )
 from mme.baselines import RansacConfig, clustered_ransac
 from mme.geometry import DegenerateInput, angles, as_unit, fit_plane_lsq, fold
-from mme.mcransac import NoSatisfyingFit, restrict_constraints
+from mme.mcransac import McRansacConfig, NoSatisfyingFit, restrict_constraints
 from mme.normals import NormalEstimationConfig, estimate_normals
 from mme.pcc import ConstraintMatrix, NoSolution, PccConfig, run_pcc, solution_groups
 from mme.synth import NoiseSpec, generate_view, get_object, turntable_view
@@ -165,6 +165,17 @@ class TestFitMethod:
         assert all(np.array_equal(p.normal, q.normal) and p.offset == q.offset
                    and np.array_equal(p.inliers, q.inliers)
                    for p, q in zip(fit.planes, planes, strict=True))
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_misspelled_option_is_refused(self, method):
+        # an option fit_method does not take raises before any work starts,
+        # for the methods that would ignore it as for the one it would reach
+        obj = get_object("cube")
+        raw = generate_view(obj, turntable_view(obj, 2), rng_seed=5)
+        cfg = McRansacConfig() if method == "mme" else RansacConfig()
+        with pytest.raises(TypeError, match="min_inlier_fractoin"):
+            fit_method(method, raw, obj.model_matrix, cfg, PccConfig(),
+                       NormalEstimationConfig(), min_inlier_fractoin=0.5)
 
 
 def _raises(exc):

@@ -161,6 +161,34 @@ class TestFit:
         assert run("fit", *files, "--seed", "7", *flags) == EXIT_OK
         assert capsys.readouterr().out.splitlines()[0] == first
 
+    @pytest.mark.parametrize("flags, stdout", [
+        ((), """\
+planes=3 gamma=0.075500 rho=0.062830 inliers=3380/3380
+# plane 0: normal=(0.767048294,0.367858229,0.525658861) offset=1.07716591 inliers=950
+# plane 1: normal=(0.643756543,-0.438996804,-0.626784907) offset=-1.37985582 inliers=1299
+# plane 2: normal=(0.000689405761,0.81960703,-0.572925685) offset=-1.21922824 inliers=1131
+"""),
+        (("--method", "clustered"), """\
+planes=3 gamma=0.166537 rho=0.093660 inliers=411/3380
+# plane 0: normal=(0.766803379,0.368209611,0.525770158) offset=1.07677243 inliers=143
+# plane 1: normal=(0.64560202,-0.437873116,-0.625671772) offset=-1.37534228 inliers=134
+# plane 2: normal=(-0.00189541424,0.817722517,-0.575609497) offset=-1.22834246 inliers=134
+"""),
+        (("--method", "iterative", "--distance-threshold", "0.02"), """\
+planes=3 gamma=0.103025 rho=0.066007 inliers=3327/3380
+# plane 0: normal=(-0.000118292492,0.818000722,-0.575217181) offset=-1.22684392 inliers=1164
+# plane 1: normal=(0.644385051,-0.439493627,-0.625790106) offset=-1.37663421 inliers=1251
+# plane 2: normal=(0.766761672,0.367845218,0.526085957) offset=1.07854861 inliers=912
+"""),
+    ], ids=["mme", "clustered", "iterative"])
+    def test_quick_start_every_plane_line(self, tmp_path, capsys, flags, stdout):
+        # README's quick-start cube, printed in full: the `# plane` lines
+        # carry each fitted normal with the plane fit's canonical sign
+        files = synth_files(tmp_path, "cube", 2)
+        capsys.readouterr()
+        assert run("fit", *files, "--seed", "7", *flags) == EXIT_OK
+        assert capsys.readouterr().out == stdout
+
     @pytest.mark.parametrize("view", range(1, 9))
     def test_defaults_fit_every_double_pyramid_view(self, tmp_path, capsys, view):
         # with a fixed sample of 3 points per plane, 7 of these 8 views

@@ -116,6 +116,26 @@ class TestCheckConstraints:
             with pytest.raises(DegenerateInput, match="one reference direction per plane"):
                 run_mcransac(groups, cloud, RIGHT_ANGLE, cfg, reference_directions=refs)
 
+    def test_reference_that_cannot_orient_is_refused(self, rng):
+        # planes at 135 deg with the second normal turned over: the true
+        # references pass the check, and a NaN, infinite or zero one, which
+        # could turn no normal over, raises instead of failing the check
+        cloud, normals = two_plane_cloud(rng, n_per=40, angle_deg=135.0)
+        groups = label_index_groups(cloud)
+        model = ConstraintMatrix(np.array([[0.0, 135.0], [135.0, 0.0]]))
+        cfg = McRansacConfig(iterations=2, sample_size=3)
+        planes = [PlaneModel(normals[0], 0.0, groups[0][:3]),
+                  PlaneModel(-normals[1], -0.5, groups[1][:3])]
+        assert check_constraints(planes, model, 2.0, normals)
+        for bad in ([np.nan] * 3, [0.0, 0.0, 0.0], [np.inf, 0.0, 0.0]):
+            refs = np.array([normals[0], bad])
+            with pytest.raises(DegenerateInput, match="finite and non-zero"):
+                check_constraints(planes, model, 2.0, refs)
+            with pytest.raises(DegenerateInput, match="finite and non-zero"):
+                grow_inliers(planes, groups, cloud, model, cfg, np.random.default_rng(0), refs)
+            with pytest.raises(DegenerateInput, match="finite and non-zero"):
+                run_mcransac(groups, cloud, model, cfg, reference_directions=refs)
+
     def test_many_planes_measure_like_angle_between(self, rng):
         # 14 planes against their own angle_between matrix: zero tolerance
         # holds only if every pair angle is bit-identical to angle_between,

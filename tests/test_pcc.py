@@ -104,10 +104,20 @@ class TestConstraintMatrix:
         path.write_text("2\n0 80\n")
         with pytest.raises(ValueError):
             read_constraint_matrix(path)
+        # a bad entry is reported on the line that holds the first one in
+        # row-major order, not on the first row's
+        for text, message in [
+                ("2\n0 80\n80 inf\n", "line 3: constraint matrix entries must be finite"),
+                ("3\n0 90 90\n90 0 90\n90 90 200\n",
+                 r"line 4: constraint angles must lie in \[0, 180\] degrees"),
+                ("# two planes\n2\n0 80\n80 1\n", "line 4: constraint matrix diagonal must be zero")]:
+            path.write_text(text)
+            with pytest.raises(ValueError, match=f"{message}$"):
+                read_constraint_matrix(path)
 
     def test_read_names_the_first_unmirrored_pair(self, tmp_path):
-        # (1,3) and (2,3) do not mirror; row-major order reports (1,3) first,
-        # on the line of row 3
+        # (3,1) and (3,2) do not mirror (1,3) and (2,3); row-major order
+        # reports (3,1) first, on the line of row 3
         path = tmp_path / "bad.constraints"
         path.write_text("3\n0 80 70\n80 0 60\n71 61 0\n")
         with pytest.raises(ValueError, match=r"line 4: entry \(3,1\)=71 does not mirror "
