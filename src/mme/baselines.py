@@ -12,19 +12,16 @@ from .geometry import DegenerateInput, PlaneModel, PointCloud, fit_plane_lsq, sa
 
 @dataclass(frozen=True)
 class RansacConfig:
-    """Plain RANSAC (Fischler & Bolles 1981); distance_threshold is the
-    inlier distance in scene units."""
+    """Plain RANSAC (Fischler & Bolles 1981) on minimal samples of 3
+    points; distance_threshold is the inlier distance in scene units."""
 
     iterations: int = 50
-    sample_size: int = 3
     distance_threshold: float = 1e-3
     rng_seed: int = 0
 
     def __post_init__(self):
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
-        if self.sample_size < 3:
-            raise ValueError("sample_size must be >= 3")
         if not 0.0 < self.distance_threshold < math.inf:
             raise ValueError("distance_threshold must be finite and positive")
         if self.rng_seed < 0:
@@ -44,9 +41,9 @@ def _ransac_single(
     best_inliers = None
     for _ in range(cfg.iterations):
         try:
-            plane = sample_plane(cloud.points, idx, cfg.sample_size, rng)
+            plane = sample_plane(cloud.points, idx, 3, rng)
         except DegenerateInput:
-            if idx.shape[0] < cfg.sample_size:
+            if idx.shape[0] < 3:
                 raise
             continue
         inliers = idx[plane.distances(pts) <= cfg.distance_threshold]
@@ -73,11 +70,11 @@ def iterative_ransac(cloud: PointCloud, cfg: RansacConfig = RansacConfig(), *,
     inliers, repeat until a plane explains less than min_inlier_fraction
     of the cloud."""
     n = len(cloud)
-    min_count = max(math.ceil(min_inlier_fraction * n), cfg.sample_size)
+    min_count = max(math.ceil(min_inlier_fraction * n), 3)
     seq = np.random.SeedSequence(cfg.rng_seed)
     remaining = np.arange(n)
     planes: list[PlaneModel] = []
-    while remaining.shape[0] >= cfg.sample_size:
+    while remaining.shape[0] >= 3:
         rng = np.random.default_rng(seq.spawn(1)[0])
         try:
             plane = _ransac_single(remaining, cloud, cfg, rng)

@@ -8,7 +8,6 @@ independent of execution order and reproducible cell by cell.
 from __future__ import annotations
 
 import hashlib
-import logging
 import time
 from dataclasses import dataclass, field, replace
 
@@ -24,12 +23,10 @@ from .mcransac import (
     restrict_constraints,
     run_mcransac,
 )
-from .normals import NormalEstimationConfig, estimate_normals
+from .normals import estimate_normals
 from .pcc import (Cluster, Clustering, ConstraintMatrix, NoSolution, PccConfig,
                   assign_clusters, run_pcc, solution_groups)
 from .synth import NoiseSpec, generate_view, face_normals_in_view, get_object, turntable_view
-
-logger = logging.getLogger(__name__)
 
 METHODS = ("mme", "clustered", "iterative")
 
@@ -44,7 +41,7 @@ BENCH_MCR = McRansacConfig(iterations=30, min_eval_fraction=0.0025)
 #: sweep configuration for the unconstrained baselines; with 3 hypotheses
 #: per plane often none lies on one face, so `iterative` finds no plane over
 #: the minimum fraction and reports `degenerate`, even at sigma = 0
-BENCH_BASELINE = RansacConfig(iterations=3, sample_size=3)
+BENCH_BASELINE = RansacConfig(iterations=3)
 
 #: minimum cloud fraction a plane must explain to keep iterating
 BENCH_ITERATIVE_MIN_FRACTION = 0.01
@@ -108,24 +105,25 @@ class MethodFit:
 
 
 def fit_method(method: str, cloud, model: ConstraintMatrix, cfg, pcc_cfg: PccConfig,
-               normal_cfg: NormalEstimationConfig, fit: MethodFit | None = None, *,
+               fit: MethodFit | None = None, *,
                min_inlier_fraction: float = 0.05) -> MethodFit:
     """Fit one method's planes to a raw cloud and map them onto the model.
 
-    `mme` and `clustered` estimate normals and fit the groups that PCC maps,
-    with run_mcransac or clustered_ransac under cfg.  `iterative` runs
-    iterative_ransac until a plane holds less than min_inlier_fraction of
-    the cloud, and makes each plane a cluster of its inliers, its normal
-    turned toward the sensor at the origin as estimated normals are;
-    assign_clusters then maps those clusters.  The reference directions are
-    the mapped clusters' mean normals.
+    `mme` and `clustered` estimate normals at the NormalEstimationConfig
+    defaults and fit the groups that PCC maps, with run_mcransac or
+    clustered_ransac under cfg.  `iterative` runs iterative_ransac until a
+    plane holds less than min_inlier_fraction of the cloud, and makes each
+    plane a cluster of its inliers, its normal turned toward the sensor at
+    the origin as estimated normals are; assign_clusters then maps those
+    clusters.  The reference directions are the mapped clusters' mean
+    normals.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {', '.join(METHODS)}")
     fit = MethodFit() if fit is None else fit
     if method == "iterative":
-        if len(cloud) < cfg.sample_size:
-            raise DegenerateInput(f"{len(cloud)} points cannot seed a sample of {cfg.sample_size}")
+        if len(cloud) < 3:
+            raise DegenerateInput(f"{len(cloud)} points cannot seed a sample of 3")
         found = iterative_ransac(cloud, cfg, min_inlier_fraction=min_inlier_fraction)
         if not found:
             raise NoPlaneFound("no plane found")
@@ -134,7 +132,7 @@ def fit_method(method: str, cloud, model: ConstraintMatrix, cfg, pcc_cfg: PccCon
                                  for p in found])
         solution = assign_clusters(clustering, model, pcc_cfg)
     else:
-        cloud = estimate_normals(cloud, normal_cfg)
+        cloud = estimate_normals(cloud)
         solution, clustering = run_pcc(cloud, model, pcc_cfg)
     mapped = [c for c in solution.mapping if c is not None]
     fit.groups = solution_groups(solution, clustering)
@@ -187,8 +185,7 @@ def run_cell(method: str, object_name: str, sigma: float, view_index: int,
     fit = MethodFit()
     try:
         fit_method(method, cloud, obj.model_matrix, cfg, PccConfig(rng_seed=method_seed),
-                   NormalEstimationConfig(), fit,
-                   min_inlier_fraction=BENCH_ITERATIVE_MIN_FRACTION)
+                   fit, min_inlier_fraction=BENCH_ITERATIVE_MIN_FRACTION)
         # independent re-check of the returned fit against its constraints
         if method == "mme" and not check_constraints(
                 fit.planes, fit.model, cfg.constraint_tolerance_deg, fit.reference_directions):
@@ -238,7 +235,6 @@ def summarize(results) -> list[dict]:
         group = cells[key]
         ok = [r.report for r in group if r.report.status == "ok"]
         def _mean(vals):
-            vals = [v for v in vals if not np.isnan(v)]
             return float(np.mean(vals)) if vals else float("nan")
         out.append({
             "method": key[0],

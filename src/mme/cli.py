@@ -26,7 +26,6 @@ from .bench import (
 )
 from .geometry import DegenerateInput
 from .mcransac import McRansacConfig, NoSatisfyingFit
-from .normals import NormalEstimationConfig
 from .pcc import NoSolution, PccConfig, read_constraint_matrix, write_constraint_matrix
 from .synth import (
     NoiseSpec,
@@ -109,22 +108,16 @@ def _open_output(path: Path):
 
 def _cmd_fit(args) -> int:
     seed = args.seed
-    normal_cfg = _checked(NormalEstimationConfig, k_neighbors=args.k_neighbors)
-    pcc_cfg = _checked(PccConfig, constraint_tolerance_deg=args.pcc_tolerance,
-                       rng_seed=seed)
-    # without --sample-size each method's config keeps its own default
-    sized = {} if args.sample_size is None else {"sample_size": args.sample_size}
     if args.method == "mme":
-        cfg = _checked(McRansacConfig, iterations=args.iterations,
-                       constraint_tolerance_deg=args.tolerance, rng_seed=seed, **sized)
+        cfg = _checked(McRansacConfig, iterations=args.iterations, rng_seed=seed)
     else:
         cfg = _checked(RansacConfig, iterations=args.iterations,
-                       distance_threshold=args.distance_threshold, rng_seed=seed, **sized)
+                       distance_threshold=args.distance_threshold, rng_seed=seed)
     cloud = _load(read_cloud, args.cloud, "cloud")
     constraints = _load(read_constraint_matrix, args.constraints, "constraints")
 
     try:
-        fit = fit_method(args.method, cloud, constraints, cfg, pcc_cfg, normal_cfg)
+        fit = fit_method(args.method, cloud, constraints, cfg, PccConfig(rng_seed=seed))
     except NoPlaneFound as exc:
         print(exc, file=sys.stderr)
         return EXIT_NO_FIT
@@ -215,18 +208,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--constraints", required=True)
     p.add_argument("--method", choices=METHODS, default="mme")
     p.add_argument("--iterations", type=int, default=McRansacConfig.iterations)
-    p.add_argument("--sample-size", dest="sample_size", type=int, default=None,
-                   help="points per plane hypothesis (default: the method's own; "
-                        "for mme, 3 plus one per constraint pair, at most 8)")
-    p.add_argument("--tolerance", type=float, default=McRansacConfig.constraint_tolerance_deg,
-                   help="constraint tolerance (degrees)")
-    p.add_argument("--pcc-tolerance", dest="pcc_tolerance", type=float,
-                   default=PccConfig.constraint_tolerance_deg,
-                   help="cluster-assignment angle tolerance (degrees)")
-    p.add_argument("--k-neighbors", dest="k_neighbors", type=int,
-                   default=NormalEstimationConfig.k_neighbors)
     p.add_argument("--distance-threshold", dest="distance_threshold", type=float,
-                   default=RansacConfig.distance_threshold)
+                   default=RansacConfig.distance_threshold,
+                   help="inlier distance of the clustered and iterative baselines")
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("bench", parents=[common], help="run the benchmark sweep",

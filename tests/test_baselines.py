@@ -43,7 +43,7 @@ class TestClusteredRansac:
     def test_small_group_raises(self, rng):
         cloud, _ = two_plane_cloud(rng)
         with pytest.raises(DegenerateInput):
-            clustered_ransac([np.array([0, 1])], cloud, RansacConfig(sample_size=3))
+            clustered_ransac([np.array([0, 1])], cloud, RansacConfig())
 
     def test_deterministic(self, rng):
         cloud, _ = two_plane_cloud(rng, n_per=50, jitter=0.01)
@@ -116,12 +116,10 @@ class TestSamplerOracle:
         cloud, groups = redraw_scene(rng)
         order = [groups["mixed"], groups["planar"].astype(np.int32)]
         for seed in range(12):
-            size = 3 + seed % 3
             for thr in (1e-6, 0.05):
-                cfg = RansacConfig(iterations=6, sample_size=size, distance_threshold=thr,
-                                   rng_seed=seed)
+                cfg = RansacConfig(iterations=6, distance_threshold=thr, rng_seed=seed)
                 same_planes(clustered_ransac(order, cloud, cfg),
-                            reference_clustered(order, cloud.points, 6, size, thr, seed))
+                            reference_clustered(order, cloud.points, 6, 3, thr, seed))
 
     def test_clustered_all_draws_degenerate(self, rng):
         cloud, groups = redraw_scene(rng)
@@ -136,8 +134,7 @@ class TestSamplerOracle:
         cloud, _ = redraw_scene(rng)
         for seed in range(8):
             for thr in (1e-6, 0.01):
-                cfg = RansacConfig(iterations=8, sample_size=3, distance_threshold=thr,
-                                   rng_seed=seed)
+                cfg = RansacConfig(iterations=8, distance_threshold=thr, rng_seed=seed)
                 same_planes(iterative_ransac(cloud, cfg, min_inlier_fraction=0.02),
                             reference_iterative(cloud.points, 8, 3, thr, seed, 0.02))
 
@@ -145,12 +142,10 @@ class TestSamplerOracle:
 class TestRansacConfig:
     def test_defaults(self):
         cfg = RansacConfig()
-        assert (cfg.iterations, cfg.sample_size, cfg.distance_threshold, cfg.rng_seed) == \
-            (50, 3, 1e-3, 0)
+        assert (cfg.iterations, cfg.distance_threshold, cfg.rng_seed) == (50, 1e-3, 0)
 
     @pytest.mark.parametrize("field, value", [
         ("iterations", 0),
-        ("sample_size", 2),
         ("distance_threshold", 0.0),
         ("distance_threshold", -1.0),
         ("distance_threshold", float("nan")),

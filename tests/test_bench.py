@@ -28,7 +28,7 @@ from mme.bench import (
 from mme.baselines import RansacConfig, clustered_ransac
 from mme.geometry import DegenerateInput, angles, as_unit, fit_plane_lsq, fold
 from mme.mcransac import McRansacConfig, NoSatisfyingFit, restrict_constraints
-from mme.normals import NormalEstimationConfig, estimate_normals
+from mme.normals import estimate_normals
 from mme.pcc import ConstraintMatrix, NoSolution, PccConfig, run_pcc, solution_groups
 from mme.synth import NoiseSpec, generate_view, get_object, turntable_view
 
@@ -148,10 +148,9 @@ class TestFitMethod:
         obj = get_object("pyramid")
         raw = generate_view(obj, turntable_view(obj, 3), noise=NoiseSpec(0.0, 4e-5),
                             rng_seed=5)
-        normal_cfg, pcc_cfg = NormalEstimationConfig(k_neighbors=15), PccConfig(rng_seed=5)
-        cfg = RansacConfig(rng_seed=5)
-        fit = fit_method("clustered", raw, obj.model_matrix, cfg, pcc_cfg, normal_cfg)
-        cloud = estimate_normals(raw, normal_cfg)
+        pcc_cfg, cfg = PccConfig(rng_seed=5), RansacConfig(rng_seed=5)
+        fit = fit_method("clustered", raw, obj.model_matrix, cfg, pcc_cfg)
+        cloud = estimate_normals(raw)
         solution, clustering = run_pcc(cloud, obj.model_matrix, pcc_cfg)
         expected = solution_groups(solution, clustering)
         assert len(fit.groups) == len(expected) > 1
@@ -175,7 +174,7 @@ class TestFitMethod:
         cfg = McRansacConfig() if method == "mme" else RansacConfig()
         with pytest.raises(TypeError, match="min_inlier_fractoin"):
             fit_method(method, raw, obj.model_matrix, cfg, PccConfig(),
-                       NormalEstimationConfig(), min_inlier_fractoin=0.5)
+                       min_inlier_fractoin=0.5)
 
 
 def _raises(exc):

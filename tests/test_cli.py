@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -10,8 +12,7 @@ from mme.baselines import RansacConfig
 from mme.cli import EXIT_INVALID, EXIT_NO_FIT, EXIT_OK, build_parser, main
 from mme.geometry import pair_angles
 from mme.mcransac import McRansacConfig
-from mme.normals import NormalEstimationConfig
-from mme.pcc import NoSolution, PccConfig
+from mme.pcc import NoSolution
 from mme.synth import read_cloud
 
 
@@ -319,19 +320,15 @@ class TestBadArguments:
         assert len(err) == 1 and err[0].startswith("error: "), err
 
     @pytest.mark.parametrize("flags", [
-        ("--sample-size", "2"),
         ("--iterations", "0"),
-        ("--k-neighbors", "2"),
-        ("--tolerance", "-1"),
         ("--seed", "-1"),
-        ("--pcc-tolerance", "-1"),
         ("--method", "iterative", "--distance-threshold", "-1"),
-        ("--tolerance", "nan"),
-        ("--pcc-tolerance", "nan"),
-        ("--tolerance", "inf"),
-        ("--pcc-tolerance", "inf"),
         ("--method", "iterative", "--distance-threshold", "inf"),
-        ("--method", "iterative", "--sample-size", "4000"),  # more than the cloud holds
+        # the baselines build their own config from the same flags
+        ("--method", "clustered", "--iterations", "0"),
+        ("--method", "iterative", "--iterations", "0"),
+        ("--method", "clustered", "--distance-threshold", "0"),
+        ("--method", "iterative", "--distance-threshold", "nan"),
     ])
     def test_fit(self, cube_files, capsys, flags):
         cloud, constraints = cube_files
@@ -350,6 +347,16 @@ class TestBadArguments:
         capsys.readouterr()
         code = run("fit", "--cloud", str(big), "--constraints", str(constraints),
                    "--method", method)
+        self.expect_one_error_line(code, capsys)
+
+    def test_cloud_too_small_for_a_sample(self, cube_files, tmp_path, capsys):
+        # two points cannot seed the iterative baseline's sample of 3
+        _, constraints = cube_files
+        tiny = tmp_path / "tiny.xyz"
+        tiny.write_text("0 0 1\n1 0 1\n")
+        capsys.readouterr()
+        code = run("fit", "--cloud", str(tiny), "--constraints", str(constraints),
+                   "--method", "iterative")
         self.expect_one_error_line(code, capsys)
 
     @pytest.mark.parametrize("flags", [("--view", "9"), ("--sigma", "-1")])
@@ -421,6 +428,11 @@ class TestBadArguments:
         ("fit", "--cloud", "a", "--constraints", "b", "--iterations", "x"),  # malformed int
         ("synth", "--object", "cube"),  # missing required flag
         ("synth", "--object", "cube", "--config", "x.cfg", "-o", "x.xyz"),  # removed flag
+        # removed fit flags, each with a value it once took
+        ("fit", "--cloud", "a", "--constraints", "b", "--sample-size", "3"),
+        ("fit", "--cloud", "a", "--constraints", "b", "--tolerance", "3"),
+        ("fit", "--cloud", "a", "--constraints", "b", "--pcc-tolerance", "10"),
+        ("fit", "--cloud", "a", "--constraints", "b", "--k-neighbors", "15"),
     ])
     def test_argparse_errors(self, capsys, argv):
         with pytest.raises(SystemExit) as err:
@@ -433,15 +445,17 @@ class TestParser:
         fit = build_parser().parse_args(["fit", "--cloud", "a", "--constraints", "b"])
         mcr, ransac = McRansacConfig(), RansacConfig()
         assert fit.iterations == mcr.iterations
-        assert fit.tolerance == mcr.constraint_tolerance_deg
-        assert fit.pcc_tolerance == PccConfig().constraint_tolerance_deg
-        assert fit.k_neighbors == NormalEstimationConfig().k_neighbors
         assert fit.distance_threshold == ransac.distance_threshold
-        # --iterations feeds whichever config the method uses; --sample-size
-        # defers to each one's own default: the pair-count rule for mme,
-        # RansacConfig.sample_size for the baselines
+        # --iterations feeds whichever config the method uses
         assert ransac.iterations == mcr.iterations
-        assert fit.sample_size is None and mcr.sample_size is None
+
+    def test_fit_flags(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            run("fit", "--help")
+        assert err.value.code == 0
+        assert set(re.findall(r"(?<![\w-])--[a-z][\w-]*", capsys.readouterr().out)) == {
+            "--help", "--seed", "--cloud", "--constraints", "--method", "--iterations",
+            "--distance-threshold"}
 
     @pytest.mark.parametrize("argv", [
         ["synth", "--object", "cube", "-o", "x.xyz"],

@@ -73,7 +73,7 @@ def test_clustered_fit_loads_scipy(cube):
 
 
 def test_rejected_fit_skips_scipy(cube):
-    assert fresh_main("fit", *cube, "--tolerance", "inf") == (EXIT_INVALID, False)
+    assert fresh_main("fit", *cube, "--iterations", "0") == (EXIT_INVALID, False)
 
 
 def test_constrained_fit_loads_scipy(cube):
