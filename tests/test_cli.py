@@ -323,12 +323,17 @@ class TestBadArguments:
         ("--iterations", "0"),
         ("--seed", "-1"),
         ("--method", "iterative", "--distance-threshold", "-1"),
-        ("--method", "iterative", "--distance-threshold", "inf"),
+        ("--iterations", "-1"),
         # the baselines build their own config from the same flags
         ("--method", "clustered", "--iterations", "0"),
         ("--method", "iterative", "--iterations", "0"),
         ("--method", "clustered", "--distance-threshold", "0"),
         ("--method", "iterative", "--distance-threshold", "nan"),
+        ("--method", "clustered", "--distance-threshold", "nan"),
+        ("--method", "clustered", "--distance-threshold", "inf"),
+        ("--method", "iterative", "--seed", "-1"),
+        ("--method", "iterative", "--distance-threshold", "inf"),
+        ("--method", "clustered", "--distance-threshold", "-1"),
     ])
     def test_fit(self, cube_files, capsys, flags):
         cloud, constraints = cube_files
