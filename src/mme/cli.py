@@ -108,11 +108,11 @@ def _open_output(path: Path):
 
 def _cmd_fit(args) -> int:
     seed = args.seed
+    # every method checks --distance-threshold, though only the baselines use it
+    cfg = _checked(RansacConfig, iterations=args.iterations,
+                   distance_threshold=args.distance_threshold, rng_seed=seed)
     if args.method == "mme":
         cfg = _checked(McRansacConfig, iterations=args.iterations, rng_seed=seed)
-    else:
-        cfg = _checked(RansacConfig, iterations=args.iterations,
-                       distance_threshold=args.distance_threshold, rng_seed=seed)
     cloud = _load(read_cloud, args.cloud, "cloud")
     constraints = _load(read_constraint_matrix, args.constraints, "constraints")
 

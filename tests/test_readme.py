@@ -1,12 +1,16 @@
-"""README's Library example runs as written, in a fresh interpreter on src/."""
+"""README's examples run as written: the quick start through the CLI's
+main, the Library example in a fresh interpreter on src/."""
 
 from __future__ import annotations
 
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
+
+from mme.cli import EXIT_OK, main
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -24,9 +28,31 @@ STDOUT = """\
 """
 
 
+def readme() -> str:
+    return (ROOT / "README.md").read_text(encoding="utf-8")
+
+
+def test_quick_start_prints_the_lines_it_shows(tmp_path, monkeypatch, capsys):
+    # each `# ` line under `mme fit`, up to the `# ...` elision, is a line
+    # the fit prints; the pinned stdout itself lives in tests/test_cli.py
+    block = re.search(r"```sh\n(.*?)```", readme().split("## Command line", 1)[1],
+                      re.S).group(1).splitlines()
+    monkeypatch.chdir(tmp_path)
+    for command in ("mme synth ", "mme fit "):
+        at = next(i for i, line in enumerate(block) if line.startswith(command))
+        capsys.readouterr()
+        assert main(shlex.split(block[at])[1:]) == EXIT_OK
+        printed = capsys.readouterr().out.splitlines()
+    shown = []
+    for line in block[at + 1:]:
+        if line == "# ..." or not line.startswith("# "):
+            break
+        shown.append(line[2:])
+    assert len(shown) >= 2 and printed[:len(shown)] == shown, (shown, printed)
+
+
 def test_library_example_prints_one_line_per_plane(tmp_path):
-    readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    library = readme.split("## Library", 1)[1]
+    library = readme().split("## Library", 1)[1]
     example = re.search(r"```python\n(.*?)```", library, re.S).group(1)
     res = subprocess.run([sys.executable, "-c", example + PLANE_COUNT],
                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
