@@ -136,7 +136,7 @@ def fit_method(method: str, cloud, model: ConstraintMatrix, cfg, pcc_cfg: PccCon
         solution, clustering = run_pcc(cloud, model, pcc_cfg)
     mapped = [c for c in solution.mapping if c is not None]
     fit.groups = solution_groups(solution, clustering)
-    fit.reference_directions = np.array([clustering.clusters[c].mean_normal for c in mapped])
+    fit.reference_directions = clustering.means[mapped]
     fit.model = restrict_constraints(model, solution)
     if method == "mme":
         fit.planes = run_mcransac(fit.groups, cloud, fit.model, cfg,

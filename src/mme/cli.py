@@ -57,20 +57,22 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_INVALID)
 
 
-def _checked(build, *args, **kwargs):
+def _checked(build, *args, flag: str | None = None, **kwargs):
     """Call a config constructor or object lookup on user-supplied values;
     a rejected value (ValueError, or KeyError for an unknown name) becomes
-    a CliError carrying the library's message."""
+    a CliError carrying the library's message, after the flag that gave
+    the value when one did."""
     try:
         return build(*args, **kwargs)
     except (ValueError, KeyError) as exc:
-        raise CliError(exc.args[0] if exc.args else repr(exc)) from exc
+        message = exc.args[0] if exc.args else repr(exc)
+        raise CliError(message if flag is None else f"{flag}: {message}") from exc
 
 
 def _cmd_synth(args) -> int:
     obj = _checked(get_object, args.object)
-    view = _checked(turntable_view, obj, args.view)
-    noise = _checked(NoiseSpec, 0.0, args.sigma)
+    view = _checked(turntable_view, obj, args.view, flag="--view")
+    noise = _checked(NoiseSpec, 0.0, args.sigma, flag="--sigma")
     out = Path(args.output)
     if out.suffix.lower() == ".constraints":
         raise CliError(f"-o {out}: the cloud would be overwritten by its constraint "
@@ -145,7 +147,7 @@ def _comma_list(flag: str, text: str, parse=str) -> list:
         raise CliError(f"{flag} is empty")
     values = []
     for item in text.split(","):
-        value = _checked(parse, item)
+        value = _checked(parse, item, flag=flag)
         if value in values:
             raise CliError(f"{flag} repeats {item!r}")
         values.append(value)
@@ -158,16 +160,17 @@ def _cmd_bench(args) -> int:
                else _comma_list("--methods", args.methods))
     for m in methods:
         if m not in METHODS:
-            raise CliError(f"unknown method {m!r}; choose from {', '.join(METHODS)}")
+            raise CliError(f"--methods: unknown method {m!r}; choose from {', '.join(METHODS)}")
     objects = ([o.name for o in builtin_objects()] if args.objects is None
                else _comma_list("--objects", args.objects))
     for name in objects:
-        _checked(turntable_view, _checked(get_object, name), args.views)
+        _checked(turntable_view, _checked(get_object, name, flag="--objects"), args.views,
+                 flag="--views")
     sigmas = _comma_list("--sigmas", args.sigmas, float)
     for s in sigmas:
-        _checked(NoiseSpec, 0.0, s)
+        _checked(NoiseSpec, 0.0, s, flag="--sigmas")
     if args.repeats < 1:
-        raise CliError("repeats must be >= 1")
+        raise CliError("--repeats must be >= 1")
     out = Path(args.output)
     summary_path = out.with_suffix(".summary.csv")
     with _open_output(out) as results_file, _open_output(summary_path) as summary_file:

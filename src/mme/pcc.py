@@ -170,11 +170,35 @@ class Cluster:
         return self.point_indices.shape[0]
 
 
-@dataclass(eq=False)
 class Clustering:
-    """Disjoint clusters over the points of one cloud."""
+    """Disjoint clusters over the points of one cloud.
 
-    clusters: list[Cluster]
+    The clusters lie back to back in one index array: cluster i is
+    ``indices[bounds[i]:bounds[i + 1]]`` and ``means[i]`` is its unit mean
+    normal.  The pipeline's clusterings hold each cluster's indices in
+    ascending order, as int32 whenever the cloud is small enough for that.
+    ``Clustering(clusters)`` packs a list of Cluster as given, and
+    ``clusters`` gives Cluster views into the arrays back.
+    """
+
+    __slots__ = ("indices", "bounds", "means")
+
+    def __init__(self, clusters: list[Cluster]):
+        self.indices = np.concatenate([c.point_indices for c in clusters])
+        self.bounds = np.cumsum([0] + [c.size for c in clusters])
+        self.means = np.array([c.mean_normal for c in clusters], dtype=float)
+
+    @classmethod
+    def packed(cls, indices: np.ndarray, bounds: np.ndarray, means: np.ndarray) -> Clustering:
+        """A clustering over arrays already in this layout."""
+        self = cls.__new__(cls)
+        self.indices, self.bounds, self.means = indices, bounds, means
+        return self
+
+    @property
+    def clusters(self) -> list[Cluster]:
+        b = self.bounds.tolist()
+        return [Cluster(self.indices[s:e], mean) for s, e, mean in zip(b, b[1:], self.means)]
 
 
 @dataclass(frozen=True)
@@ -254,13 +278,17 @@ def _build_clustering(cloud: PointCloud, idx: np.ndarray, labels: np.ndarray) ->
 
     Cluster i holds the points of the i-th smallest label, in index order.
     The indices are int32 whenever the cloud is small enough for that,
-    which halves what a kept clustering costs.
+    which halves what a kept clustering costs; the stable argsort by label
+    lays them out back to back, as a Clustering keeps them.
     """
     dtype = np.int32 if len(cloud) <= np.iinfo(np.int32).max else np.intp
     order = np.argsort(labels, kind="stable")
-    groups = np.split(idx[order].astype(dtype), np.flatnonzero(np.diff(labels[order])) + 1)
-    clusters = [Cluster(g, as_unit(cloud.normals[g].mean(axis=0))) for g in groups]
-    return Clustering(clusters)
+    indices = idx[order].astype(dtype)
+    bounds = np.r_[0, np.flatnonzero(np.diff(labels[order])) + 1, indices.size]
+    ends = bounds.tolist()
+    means = np.array([as_unit(cloud.normals[indices[s:e]].mean(axis=0))
+                      for s, e in zip(ends, ends[1:])])
+    return Clustering.packed(indices, bounds, means)
 
 
 def _kmeans_once(cols: np.ndarray, k: int, rng: np.random.Generator):
@@ -333,12 +361,13 @@ def merge_similar_clusters(clustering: Clustering, cfg: PccConfig, cloud: PointC
 
     Repeats until no pair is below the threshold; the mean normal is
     recomputed from the union after each merge, so the result is a
-    fixpoint (idempotent under re-application).
+    fixpoint (idempotent under re-application).  The result packs its
+    clusters into an index array of its own, once, at the end, so it does
+    not keep the input's array alive.
     """
-    # copies: k-means clusters' indices are views of one shared array, which
-    # the merged clustering would otherwise keep alive whole
-    groups = [c.point_indices.copy() for c in clustering.clusters]
-    means = [c.mean_normal for c in clustering.clusters]
+    clusters = clustering.clusters
+    groups = [c.point_indices for c in clusters]
+    means = [c.mean_normal for c in clusters]
     while True:
         # the first close pair in row-major order merges, then rescan
         close = np.flatnonzero(pair_angles(means) < cfg.merge_angle_deg)
@@ -353,10 +382,10 @@ def merge_similar_clusters(clustering: Clustering, cfg: PccConfig, cloud: PointC
 
 def object_matrix(clustering: Clustering) -> ConstraintMatrix:
     """Pairwise angles between cluster mean normals."""
-    m = len(clustering.clusters)
+    m = clustering.means.shape[0]
     i, j = upper_pairs(m)
     entries = np.zeros((m, m))
-    entries[i, j] = entries[j, i] = pair_angles([c.mean_normal for c in clustering.clusters])
+    entries[i, j] = entries[j, i] = pair_angles(clustering.means)
     return ConstraintMatrix(entries, label="clusters")
 
 
@@ -412,7 +441,9 @@ def tree_search(
     decides ties: levels go in model order, each level tries its clusters
     in ascending id and then EMPTY, and only a strictly greater total
     replaces the best mapping.  Both angle matrices are read as Python
-    lists, so no node of the search works on numpy scalars.
+    lists, so no node of the search works on numpy scalars.  The search
+    keeps the (level, cluster) pairs assigned so far on a stack, so a
+    node checks a cluster against those pairs alone, EMPTY levels skipped.
     """
     n = model.size
     m = observed.size
@@ -425,37 +456,40 @@ def tree_search(
     tol = cfg.constraint_tolerance_deg
 
     best_total = 0
-    best_mapping = None
-    mapping: list[int | None] = [EMPTY] * n
+    best_pairs = None
+    assigned: list[tuple[int, int]] = []
     used = [False] * m
 
-    def admissible(i: int, j: int) -> bool:
-        for k in range(i):
-            l = mapping[k]
-            if l is not None and abs(b[j][l] - a[i][k]) > tol:
-                return False
-        return True
-
     def dfs(level: int, total: int) -> None:
-        nonlocal best_total, best_mapping
+        nonlocal best_total, best_pairs
         if level == n:
             if total > best_total:
                 best_total = total
-                best_mapping = tuple(mapping)
+                best_pairs = tuple(assigned)
             return
+        row = a[level]
         for j in allowed[level]:
-            if not used[j] and admissible(level, j):
-                mapping[level] = j
+            if used[j]:
+                continue
+            col = b[j]
+            for k, l in assigned:
+                if abs(col[l] - row[k]) > tol:
+                    break
+            else:
                 used[j] = True
+                assigned.append((level, j))
                 dfs(level + 1, total + sizes[j])
+                assigned.pop()
                 used[j] = False
-        mapping[level] = EMPTY
         dfs(level + 1, total)
 
     dfs(0, 0)
-    if best_mapping is None:
+    if best_pairs is None:
         raise NoSolution("no admissible cluster-to-model assignment")
-    return PccSolution(best_mapping, best_total)
+    mapping = [EMPTY] * n
+    for k, l in best_pairs:
+        mapping[k] = l
+    return PccSolution(tuple(mapping), best_total)
 
 
 def assign_clusters(clustering: Clustering, model: ConstraintMatrix, cfg: PccConfig) -> PccSolution:
@@ -492,8 +526,5 @@ def run_pcc(
 
 def solution_groups(solution: PccSolution, clustering: Clustering) -> list[np.ndarray]:
     """Point-index groups for the mapped model planes, in model-plane order."""
-    return [
-        clustering.clusters[c].point_indices
-        for c in solution.mapping
-        if c is not None
-    ]
+    clusters = clustering.clusters
+    return [clusters[c].point_indices for c in solution.mapping if c is not None]

@@ -111,6 +111,80 @@ def tie_heavy_search_instance(rng):
     return model, observed, candidates, sizes, 2.0
 
 
+def faceted_search_instance(rng):
+    """A search problem shaped like a faceted pyramid's, with 7 to 9 model
+    planes: the flanks' outward normals at 55 degrees elevation, spread
+    evenly round the axis.  Each flank is seen as one cluster, split into
+    two, or not seen at all; up to two stray clusters point anywhere; the
+    clusters come in a random order, their normals a few degrees off, and
+    their sizes from four values so that totals tie.  Returns the model
+    and observed angle matrices and the cluster sizes."""
+    n = int(rng.integers(7, 10))
+    azimuth = 2.0 * np.pi * np.arange(n) / n
+    elevation = np.radians(55.0)
+    flanks = np.column_stack([np.cos(elevation) * np.cos(azimuth),
+                              np.cos(elevation) * np.sin(azimuth),
+                              np.full(n, np.sin(elevation))])
+    seen = [v for v, copies in zip(flanks, rng.choice([0, 1, 1, 1, 2, 2], size=n))
+            for _ in range(copies)]
+    normals = np.array(seen + list(rng.normal(size=(int(rng.integers(0, 3)), 3))))
+    normals = normals[rng.permutation(normals.shape[0])] + rng.normal(0.0, 0.03, normals.shape)
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+
+    def angle_matrix(v):
+        entries = np.zeros((v.shape[0], v.shape[0]))
+        entries[upper_pairs(v.shape[0])] = pair_angles(v)
+        return entries + entries.T
+
+    sizes = [int(s) for s in rng.choice([40, 60, 60, 90], size=normals.shape[0])]
+    return angle_matrix(flanks), angle_matrix(normals), sizes
+
+
+def reference_tree_search(model_entries, observed_entries, candidates, sizes, tolerance):
+    """The depth-first search that pcc.tree_search replaced, kept verbatim
+    but for its signature: each node checks a cluster against every earlier
+    level through the mapping, EMPTY levels included.  Returns (mapping,
+    total) as enumerate_assignments does, or None when it finds no mapping."""
+    n = len(model_entries)
+    m = len(observed_entries)
+    sizes = [int(s) for s in sizes]
+    allowed = [[j for j in range(m) if i in candidates[j]] for i in range(n)]
+    a = np.asarray(model_entries, dtype=float).tolist()
+    b = np.asarray(observed_entries, dtype=float).tolist()
+    tol = tolerance
+
+    best_total = 0
+    best_mapping = None
+    mapping: list[int | None] = [None] * n
+    used = [False] * m
+
+    def admissible(i: int, j: int) -> bool:
+        for k in range(i):
+            l = mapping[k]
+            if l is not None and abs(b[j][l] - a[i][k]) > tol:
+                return False
+        return True
+
+    def dfs(level: int, total: int) -> None:
+        nonlocal best_total, best_mapping
+        if level == n:
+            if total > best_total:
+                best_total = total
+                best_mapping = tuple(mapping)
+            return
+        for j in allowed[level]:
+            if not used[j] and admissible(level, j):
+                mapping[level] = j
+                used[j] = True
+                dfs(level + 1, total + sizes[j])
+                used[j] = False
+        mapping[level] = None
+        dfs(level + 1, total)
+
+    dfs(0, 0)
+    return None if best_mapping is None else (best_mapping, best_total)
+
+
 def broadcast_sqdist(a, b):
     """(N, k) squared distances through an (N, k, d) broadcast temporary."""
     return ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)

@@ -332,10 +332,11 @@ class TestBench:
 class TestBadArguments:
     """A rejected parameter ends in exit 1 and one error line, before any work."""
 
-    def expect_one_error_line(self, code, capsys):
+    def expect_one_error_line(self, code, capsys, flag=""):
+        """Exit 1 and one error line, which names flag when one is given."""
         assert code == EXIT_INVALID
         err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert len(err) == 1 and err[0].startswith(f"error: {flag}"), err
 
     @pytest.mark.parametrize("flags", [
         ("--iterations", "0"),
@@ -387,11 +388,11 @@ class TestBadArguments:
                    "--method", "iterative")
         self.expect_one_error_line(code, capsys)
 
-    @pytest.mark.parametrize("flags", [("--view", "9"), ("--sigma", "-1")])
+    @pytest.mark.parametrize("flags", [("--view", "9"), ("--sigma", "-1"), ("--view", "0")])
     def test_synth(self, tmp_path, capsys, flags):
         out = tmp_path / "x.xyz"
         code = run("synth", "--object", "cube", *flags, "-o", str(out))
-        self.expect_one_error_line(code, capsys)
+        self.expect_one_error_line(code, capsys, flags[0])
         assert not out.exists()
 
     @pytest.mark.parametrize("command, flags", [
@@ -421,11 +422,14 @@ class TestBadArguments:
         ("--objects", "cube,cube"),
         ("--sigmas", "0,0.0"),
         ("--sigmas", "1e-5,0,0.00001"),
+        ("--views", "0"),
+        ("--sigmas", "0,-1"),
+        ("--methods", "iterative,ransac"),
     ])
     def test_bench_checks_before_the_sweep(self, tmp_path, capsys, flags):
         out = tmp_path / "x.csv"
         code = run("bench", "--methods", "iterative", *flags, "-o", str(out))
-        self.expect_one_error_line(code, capsys)
+        self.expect_one_error_line(code, capsys, flags[0])
         assert not out.exists()
 
     @pytest.mark.parametrize("name", ["cube.constraints", "cube.Constraints"])

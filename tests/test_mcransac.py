@@ -399,9 +399,12 @@ class TestGrowInliersOracle:
     @pytest.mark.parametrize("position", [mcransac.GROWTH_WINDOW - 1, mcransac.GROWTH_WINDOW])
     def test_revert_on_a_window_edge(self, position):
         # the candidate drawn at this position is lifted far off its face, so
-        # the last trial of the first window, or the first of the next, fails
-        cloud, groups, model, refs = faceted_scene(5, 2, outliers=0)
+        # the last trial of the first window, or the first of the next, fails;
+        # a group of two windows and 22 points (150 at a window of 64) leaves
+        # candidates on both sides of the edge whatever the window is
         cfg = McRansacConfig(sample_size=8, constraint_tolerance_deg=1.5)
+        cloud, groups, model, refs = faceted_scene(5, 2, n_per=2 * mcransac.GROWTH_WINDOW + 22,
+                                                   outliers=0)
         hyp, state = next(passing_hypotheses(cloud, groups, model, cfg, refs, range(20)))
         draws = np.random.default_rng()
         draws.bit_generator.state = state

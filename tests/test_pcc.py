@@ -39,11 +39,13 @@ from oracle import (
     assignment,
     broadcast_sqdist,
     enumerate_assignments,
+    faceted_search_instance,
     random_search_instance,
     reference_kmeans,
     reference_lloyd,
     reference_merge,
     reference_similarity_reduction,
+    reference_tree_search,
     remap_labels,
     tie_heavy_search_instance,
 )
@@ -374,6 +376,39 @@ def tiny_clustering(cloud, groups):
     return Clustering(clusters)
 
 
+class TestClustering:
+    def test_pipeline_clusters_share_one_index_array(self):
+        obj = get_object("double_pyramid")
+        cloud = generate_view(obj, turntable_view(obj, 2), noise=NoiseSpec(0.0, 4e-5),
+                              rng_seed=5)
+        cloud = estimate_normals(cloud, NormalEstimationConfig())
+        cfg = PccConfig(rng_seed=5)
+        _, clustering = run_pcc(cloud, obj.model_matrix, cfg)
+        clusters = clustering.clusters
+        assert len(clusters) > 1
+        for c in clusters:
+            assert np.shares_memory(c.point_indices, clustering.indices)
+            assert c.point_indices.dtype == np.int32
+            assert np.all(np.diff(c.point_indices) > 0)
+        # the merge packs its own array: the k-means one is not kept alive
+        unmerged = kmeans_cluster(normalize_features(cloud), choose_k(obj.model_matrix.size, cfg),
+                                  cfg, cloud)
+        merged = merge_similar_clusters(unmerged, cfg, cloud)
+        assert len(merged.clusters) < len(unmerged.clusters)
+        assert not np.shares_memory(merged.indices, unmerged.indices)
+
+    def test_packs_clusters_as_given(self, rng):
+        # neither sorted nor int32: the packed copy keeps order and dtype
+        given = [Cluster(rng.permutation(40)[:size], as_unit(rng.normal(size=3)))
+                 for size in (7, 1, 12, 3)]
+        back = Clustering(given).clusters
+        assert len(back) == len(given)
+        for got, want in zip(back, given):
+            assert got.point_indices.dtype == want.point_indices.dtype
+            assert got.point_indices.tobytes() == want.point_indices.tobytes()
+            assert got.mean_normal.tobytes() == want.mean_normal.tobytes()
+
+
 class TestMerge:
     def make(self, rng, angle_deg):
         n0 = np.array([0.0, 0.0, 1.0])
@@ -568,6 +603,33 @@ class TestTreeSearch:
                 assert got == expected
                 checked += 1
         assert checked == 300
+
+    def test_matches_the_reference_search_on_many_planes(self):
+        # 7 to 9 model planes, beyond the brute-force oracle's reach; on 42
+        # of these 50 instances several mappings tie at the best total, so
+        # the tie order is checked too.  The candidates come from the
+        # similarity reduction, as in run_pcc, or from a random draw; the
+        # last instance has none, so it has no solution
+        cfg = PccConfig()
+        rng = np.random.default_rng(8)
+        count = 50
+        for t in range(count):
+            model, observed, sizes = faceted_search_instance(rng)
+            model, observed = ConstraintMatrix(model), ConstraintMatrix(observed)
+            if t == count - 1:
+                cands = [[] for _ in sizes]
+            elif t % 3:
+                cands = similarity_reduction(model, observed, cfg)
+            else:
+                cands = [np.flatnonzero(rng.random(model.size) < 0.6).tolist() for _ in sizes]
+            expected = reference_tree_search(model.entries, observed.entries, cands, sizes,
+                                             cfg.constraint_tolerance_deg)
+            try:
+                sol = tree_search(model, observed, cands, sizes, cfg)
+                got = (sol.mapping, sol.total_points)
+            except NoSolution:
+                got = None
+            assert got == expected
 
 
 class TestAssignClusters:
