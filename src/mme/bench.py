@@ -24,7 +24,7 @@ from .mcransac import (
     run_mcransac,
 )
 from .normals import estimate_normals
-from .pcc import (Cluster, Clustering, ConstraintMatrix, NoSolution, PccConfig,
+from .pcc import (Clustering, ConstraintMatrix, NoSolution, PccConfig,
                   assign_clusters, run_pcc, solution_groups)
 from .synth import NoiseSpec, generate_view, face_normals_in_view, get_object, turntable_view
 
@@ -128,8 +128,8 @@ def fit_method(method: str, cloud, model: ConstraintMatrix, cfg, pcc_cfg: PccCon
         if not found:
             raise NoPlaneFound("no plane found")
         # -offset * normal points from the plane to the sensor at the origin
-        clustering = Clustering([Cluster(p.inliers, orient(p.normal, -p.offset * p.normal))
-                                 for p in found])
+        clustering = Clustering([p.inliers for p in found],
+                                [orient(p.normal, -p.offset * p.normal) for p in found])
         solution = assign_clusters(clustering, model, pcc_cfg)
     else:
         cloud = estimate_normals(cloud)

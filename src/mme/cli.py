@@ -11,6 +11,7 @@ import argparse
 import logging
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -110,11 +111,13 @@ def _open_output(path: Path):
 
 def _cmd_fit(args) -> int:
     seed = args.seed
+    cfg = _checked(RansacConfig, iterations=args.iterations, rng_seed=seed, flag="--iterations")
     # every method checks --distance-threshold, though only the baselines use it
-    cfg = _checked(RansacConfig, iterations=args.iterations,
-                   distance_threshold=args.distance_threshold, rng_seed=seed)
+    cfg = _checked(replace, cfg, distance_threshold=args.distance_threshold,
+                   flag="--distance-threshold")
     if args.method == "mme":
-        cfg = _checked(McRansacConfig, iterations=args.iterations, rng_seed=seed)
+        cfg = _checked(McRansacConfig, iterations=args.iterations, rng_seed=seed,
+                       flag="--iterations")
     cloud = _load(read_cloud, args.cloud, "cloud")
     constraints = _load(read_constraint_matrix, args.constraints, "constraints")
 
@@ -239,7 +242,7 @@ def main(argv=None) -> int:
     code = EXIT_OK  # a print that fails ran after the command's work succeeded
     try:
         if args.seed < 0:
-            raise CliError(f"seed must be >= 0, got {args.seed}")
+            raise CliError(f"--seed must be >= 0, got {args.seed}")
         code = args.func(args)
         sys.stdout.flush()  # so a closed stdout fails here, not at exit
     except BrokenPipeError:

@@ -83,7 +83,7 @@ def read_constraint_matrix(path) -> ConstraintMatrix:
     line, then n whitespace-separated rows of n angles in degrees.
     Errors carry the offending line number.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         raw = fh.readlines()
     rows: list[tuple[int, list[float]]] = []
     n = None
@@ -173,32 +173,25 @@ class Cluster:
 class Clustering:
     """Disjoint clusters over the points of one cloud.
 
-    The clusters lie back to back in one index array: cluster i is
-    ``indices[bounds[i]:bounds[i + 1]]`` and ``means[i]`` is its unit mean
-    normal.  The pipeline's clusterings hold each cluster's indices in
-    ascending order, as int32 whenever the cloud is small enough for that.
-    ``Clustering(clusters)`` packs a list of Cluster as given, and
-    ``clusters`` gives Cluster views into the arrays back.
+    ``Clustering(groups, means)`` lays the clusters' index arrays back to
+    back in one array: cluster i is ``indices[bounds[i]:bounds[i + 1]]``
+    and ``means[i]`` is its unit mean normal.  The pipeline's clusterings
+    hold each cluster's indices in ascending order, as int32 whenever the
+    cloud is small enough for that.  ``clusters`` gives Cluster views into
+    the arrays.
     """
 
     __slots__ = ("indices", "bounds", "means")
 
-    def __init__(self, clusters: list[Cluster]):
-        self.indices = np.concatenate([c.point_indices for c in clusters])
-        self.bounds = np.cumsum([0] + [c.size for c in clusters])
-        self.means = np.array([c.mean_normal for c in clusters], dtype=float)
-
-    @classmethod
-    def packed(cls, indices: np.ndarray, bounds: np.ndarray, means: np.ndarray) -> Clustering:
-        """A clustering over arrays already in this layout."""
-        self = cls.__new__(cls)
-        self.indices, self.bounds, self.means = indices, bounds, means
-        return self
+    def __init__(self, groups: list[np.ndarray], means: list[np.ndarray]):
+        self.indices = np.concatenate(groups)
+        self.bounds = np.cumsum([0] + [g.shape[0] for g in groups])
+        self.means = np.array(means, dtype=float)
 
     @property
     def clusters(self) -> list[Cluster]:
-        b = self.bounds.tolist()
-        return [Cluster(self.indices[s:e], mean) for s, e, mean in zip(b, b[1:], self.means)]
+        groups = np.split(self.indices, self.bounds[1:-1])
+        return [Cluster(g, mean) for g, mean in zip(groups, self.means)]
 
 
 @dataclass(frozen=True)
@@ -278,17 +271,12 @@ def _build_clustering(cloud: PointCloud, idx: np.ndarray, labels: np.ndarray) ->
 
     Cluster i holds the points of the i-th smallest label, in index order.
     The indices are int32 whenever the cloud is small enough for that,
-    which halves what a kept clustering costs; the stable argsort by label
-    lays them out back to back, as a Clustering keeps them.
+    which halves what a kept clustering costs.
     """
     dtype = np.int32 if len(cloud) <= np.iinfo(np.int32).max else np.intp
     order = np.argsort(labels, kind="stable")
-    indices = idx[order].astype(dtype)
-    bounds = np.r_[0, np.flatnonzero(np.diff(labels[order])) + 1, indices.size]
-    ends = bounds.tolist()
-    means = np.array([as_unit(cloud.normals[indices[s:e]].mean(axis=0))
-                      for s, e in zip(ends, ends[1:])])
-    return Clustering.packed(indices, bounds, means)
+    groups = np.split(idx[order].astype(dtype), np.flatnonzero(np.diff(labels[order])) + 1)
+    return Clustering(groups, [as_unit(cloud.normals[g].mean(axis=0)) for g in groups])
 
 
 def _kmeans_once(cols: np.ndarray, k: int, rng: np.random.Generator):
@@ -365,9 +353,8 @@ def merge_similar_clusters(clustering: Clustering, cfg: PccConfig, cloud: PointC
     clusters into an index array of its own, once, at the end, so it does
     not keep the input's array alive.
     """
-    clusters = clustering.clusters
-    groups = [c.point_indices for c in clusters]
-    means = [c.mean_normal for c in clusters]
+    groups = np.split(clustering.indices, clustering.bounds[1:-1])
+    means = list(clustering.means)
     while True:
         # the first close pair in row-major order merges, then rescan
         close = np.flatnonzero(pair_angles(means) < cfg.merge_angle_deg)
@@ -377,7 +364,7 @@ def merge_similar_clusters(clustering: Clustering, cfg: PccConfig, cloud: PointC
         groups[i] = np.sort(np.concatenate([groups[i], groups[j]]))
         means[i] = as_unit(cloud.normals[groups[i]].mean(axis=0))
         del groups[j], means[j]
-    return Clustering([Cluster(g, m) for g, m in zip(groups, means)])
+    return Clustering(groups, means)
 
 
 def object_matrix(clustering: Clustering) -> ConstraintMatrix:

@@ -330,7 +330,7 @@ def read_cloud(path) -> PointCloud:
     pts, norms, labels = [], [], []
     ncols = None
     header = None
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             text, _, comment = line.partition("#")
             text = text.strip()

@@ -176,6 +176,34 @@ class TestFit:
             stdout.append(capsys.readouterr().out)
         assert stdout[0].startswith("planes=3 ") and stdout[1] == stdout[0]
 
+    def test_byte_order_marks_are_ignored(self, tmp_path, capsys):
+        # a UTF-8 byte-order mark, as some editors save one, before README's
+        # cube and its constraints (each opening with a comment line) and
+        # before a header-less copy of the cloud (opening with a number)
+        # changes no byte that `mme fit` prints
+        _, cloud, _, constraints = synth_files(tmp_path, "cube", 2)
+        bare = tmp_path / "bare.xyz"
+        bare.write_text("".join(" ".join(line.split(" ")[:3]) + "\n"
+                                for line in Path(cloud).read_text().splitlines()
+                                if not line.startswith("#")))
+
+        def marked(path):
+            copy = tmp_path / f"bom_{Path(path).name}"
+            copy.write_bytes(b"\xef\xbb\xbf" + Path(path).read_bytes())
+            return str(copy)
+
+        def fit(cloud, constraints, *flags):
+            capsys.readouterr()
+            assert run("fit", "--cloud", cloud, "--constraints", constraints,
+                       "--seed", "7", *flags) == EXIT_OK
+            return capsys.readouterr().out
+
+        plain = fit(cloud, constraints)
+        assert plain.startswith("planes=3 ")
+        assert fit(marked(cloud), marked(constraints)) == plain
+        assert fit(marked(bare), constraints, "--method", "clustered") == \
+            fit(cloud, constraints, "--method", "clustered")
+
     def test_iterative_planes_are_mapped_one_per_face(self, tmp_path, capsys):
         # greedy extraction puts two planes on one face of this view; the
         # assignment keeps the larger one and scores it against its own row
@@ -363,7 +391,7 @@ class TestBadArguments:
         cloud, constraints = cube_files
         capsys.readouterr()
         code = run("fit", "--cloud", str(cloud), "--constraints", str(constraints), *flags)
-        self.expect_one_error_line(code, capsys)
+        self.expect_one_error_line(code, capsys, flags[-2])
 
     @pytest.mark.parametrize("method", ["mme", "iterative"])
     def test_huge_coordinates(self, cube_files, tmp_path, capsys, method):

@@ -1,7 +1,8 @@
 """Cold start: scipy is loaded only when a process estimates normals.
 
-Each case runs in a fresh interpreter on the package under ``src/``, so
-the modules this test process has already imported do not count.
+Each case runs in a fresh interpreter on the package this test process
+imports (the checkout's ``src/``, or an installed copy), so the modules
+this process has already imported do not count.
 """
 
 from __future__ import annotations
@@ -13,9 +14,11 @@ from pathlib import Path
 
 import pytest
 
+import mme
 from mme.cli import EXIT_INVALID, EXIT_OK, main
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+# the directory that holds the mme package under test
+PACKAGE_ROOT = Path(mme.__file__).resolve().parents[1]
 
 # runs main(sys.argv[1:]); prints its exit code and whether scipy got imported
 PROBE = """\
@@ -30,9 +33,10 @@ print(code, "scipy" in sys.modules)
 
 
 def fresh(code: str, *argv) -> list[str]:
-    """The words `code` prints, run with argv in a fresh interpreter on src/."""
+    """The words `code` prints, run with argv in a fresh interpreter on
+    PACKAGE_ROOT."""
     res = subprocess.run([sys.executable, "-c", code, *argv],
-                         env={**os.environ, "PYTHONPATH": str(SRC)},
+                         env={**os.environ, "PYTHONPATH": str(PACKAGE_ROOT)},
                          capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
     return res.stdout.split()

@@ -13,7 +13,6 @@ from mme.geometry import DegenerateInput, PointCloud, angle_between, as_unit
 from mme.normals import NormalEstimationConfig, estimate_normals
 from mme.pcc import (
     EMPTY,
-    Cluster,
     Clustering,
     ConstraintMatrix,
     NoSolution,
@@ -369,11 +368,8 @@ class TestKmeansOracle:
 
 
 def tiny_clustering(cloud, groups):
-    clusters = []
-    for idx in groups:
-        idx = np.asarray(idx, dtype=int)
-        clusters.append(Cluster(idx, as_unit(cloud.normals[idx].mean(axis=0))))
-    return Clustering(clusters)
+    groups = [np.asarray(idx, dtype=int) for idx in groups]
+    return Clustering(groups, [as_unit(cloud.normals[idx].mean(axis=0)) for idx in groups])
 
 
 class TestClustering:
@@ -399,14 +395,14 @@ class TestClustering:
 
     def test_packs_clusters_as_given(self, rng):
         # neither sorted nor int32: the packed copy keeps order and dtype
-        given = [Cluster(rng.permutation(40)[:size], as_unit(rng.normal(size=3)))
-                 for size in (7, 1, 12, 3)]
-        back = Clustering(given).clusters
-        assert len(back) == len(given)
-        for got, want in zip(back, given):
-            assert got.point_indices.dtype == want.point_indices.dtype
-            assert got.point_indices.tobytes() == want.point_indices.tobytes()
-            assert got.mean_normal.tobytes() == want.mean_normal.tobytes()
+        groups, means = zip(*[(rng.permutation(40)[:size], as_unit(rng.normal(size=3)))
+                              for size in (7, 1, 12, 3)])
+        back = Clustering(list(groups), list(means)).clusters
+        assert len(back) == len(groups)
+        for got, group, mean in zip(back, groups, means):
+            assert got.point_indices.dtype == group.dtype
+            assert got.point_indices.tobytes() == group.tobytes()
+            assert got.mean_normal.tobytes() == mean.tobytes()
 
 
 class TestMerge:
@@ -433,6 +429,18 @@ class TestMerge:
         cloud, clustering = self.make(rng, 15.0)
         merged = merge_similar_clusters(clustering, PccConfig(), cloud)
         assert len(merged.clusters) == 2
+
+    def test_unmerged_result_owns_its_arrays(self, rng):
+        # no pair is close enough to merge: the clusters come back as they
+        # went in, but in arrays of their own, so the input can be freed
+        cloud, clustering = self.make(rng, 15.0)
+        merged = merge_similar_clusters(clustering, PccConfig(), cloud)
+        assert merged.indices.dtype == clustering.indices.dtype
+        assert merged.indices.tobytes() == clustering.indices.tobytes()
+        assert np.array_equal(merged.bounds, clustering.bounds)
+        assert merged.means.tobytes() == clustering.means.tobytes()
+        assert not np.shares_memory(merged.indices, clustering.indices)
+        assert not np.shares_memory(merged.means, clustering.means)
 
     def test_idempotent(self, rng):
         cloud, clustering = self.make(rng, 5.0)
@@ -641,8 +649,8 @@ class TestAssignClusters:
                    [np.cos(tilt), np.sin(tilt), 0.0]]
         sizes = [500, 400, 300, 100]
         starts = np.cumsum([0] + sizes)
-        clustering = Clustering([Cluster(np.arange(a, b), as_unit(np.array(n)))
-                                 for a, b, n in zip(starts, starts[1:], normals)])
+        clustering = Clustering([np.arange(a, b) for a, b in zip(starts, starts[1:])],
+                                [as_unit(np.array(n)) for n in normals])
         solution = assign_clusters(clustering, get_object("cube").model_matrix, PccConfig())
         assert solution.mapping == (0, 1, 2)
         assert solution.total_points == 1200
